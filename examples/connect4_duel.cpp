@@ -63,7 +63,6 @@ int main(int argc, char** argv) {
     if (x_to_move) {
       core::EngineConfig cfg;
       cfg.search_depth = depth;
-      cfg.serial_depth = std::max(1, depth - 3);
       const auto r = parallel_er_threads(rooted, cfg, threads);
       next = r.best_move.value_or(kids.front());
     } else {

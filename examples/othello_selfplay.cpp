@@ -24,7 +24,6 @@ int pick_move(const Board& b, int depth, int threads,
   const othello::OthelloGame game(b);
   core::EngineConfig cfg;
   cfg.search_depth = depth;
-  cfg.serial_depth = std::max(1, depth - 2);
   cfg.ordering = OrderingPolicy{.sort_by_static_value = true, .max_sort_ply = 6};
   const auto r = parallel_er_threads(game, cfg, threads);
   *nodes_accum += r.engine.search.nodes_generated();

@@ -120,16 +120,33 @@ inline constexpr int kAdaptiveFrontier = -1;
 struct EngineConfig {
   int search_depth = 7;
   /// Ply at which serial ER takes over: nodes at this ply are resolved as a
-  /// single (heavy) work unit.  Must be in [0, search_depth].
-  int serial_depth = 5;
+  /// single (heavy) work unit.  Clamped to [0, search_depth].
+  ///
+  /// The default, 3, sizes the unit for real cores rather than for the
+  /// simulator: at depth 7 a unit is a 4-ply serial-ER search (median
+  /// ~20 µs on random b = 8 trees) against ~1 µs of engine acquire +
+  /// commit, where the paper's ply 5 gave ~1 µs units and left 60% of
+  /// thread time waiting on the heap lock.  4-thread sweeps on a 4-core
+  /// host (EXPERIMENTS.md §7; every value checked against alpha-beta)
+  /// found ply 3 fastest or within 10% of fastest on random trees with
+  /// b = 4..16 and on Othello at depths 7 and 9.  Narrow deep trees want a
+  /// deeper cutover: at b = 3, depth 12, ply 3 ran 1.4–3× slower than the
+  /// best ply.  The simulator still peaks at the paper's choices at 16
+  /// processors, so the Table 3 trees (harness/tree_registry.cpp) pin
+  /// theirs: 5 at depth 7 (R3, O1–O3) and 7 at depths 10–11 (R1, R2).
+  int serial_depth = 3;
   /// Number of independently orderable problem-heap shards (paper §8's
   /// "distribute the work to reduce processor interaction").  Work routes to
   /// the shard owning a node's parent, so siblings colocate and a worker
   /// draining one shard keeps depth-first focus.  1 = the paper's single
-  /// heap; the global acquire order is identical at every shard count (the
-  /// global maximum is the maximum over shard tops under the same
-  /// comparator), so sharding never changes the schedule — only which
-  /// executor lock/queue serves each pop.
+  /// heap.  Global pops (acquire/acquire_batch, which the single-heap
+  /// executor and the simulator use) are shard-invariant: the global
+  /// maximum is the maximum over shard tops under the same comparator, so
+  /// their order is identical at every shard count.  Shard-local pops are
+  /// not: with more than one shard the thread runtime runs its
+  /// work-stealing executor, whose home-shard refills pop each shard in its
+  /// own order, so the schedule and node count change with the shard count
+  /// (O1 at 1 thread: 34.6k nodes at 1 shard, 51.9k at 4).
   int heap_shards = 1;
   /// Epoch-publication frontier (DESIGN.md §13).  Nodes at ply <
   /// publish_frontier are "high": every (value, finished) mutation on them

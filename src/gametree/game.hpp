@@ -14,6 +14,7 @@
 //     parallel engines store positions by value in their node records.
 
 #include <concepts>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -31,21 +32,10 @@ concept Game = requires(const G& g, const typename G::Position& p,
   { g.evaluate(p) } -> std::convertible_to<Value>;
 };
 
-/// Games that can report a typical branching factor, used only to size
-/// scratch buffers (reserve hints), never for correctness.
-template <typename G>
-concept BranchingHinted = Game<G> && requires(const G& g) {
-  { g.branching_hint() } -> std::convertible_to<std::size_t>;
-};
-
-/// The game's branching hint, or a generic default when it has none.
-template <Game G>
-[[nodiscard]] constexpr std::size_t branching_hint_of(const G& game) noexcept {
-  if constexpr (BranchingHinted<G>)
-    return game.branching_hint();
-  else
-    return 32;
-}
+/// Capacity the searchers reserve up front for their per-thread
+/// child-position scratch buffers.  A reserve hint only, never a limit:
+/// generate_children may grow a buffer past it.
+inline constexpr std::size_t kChildReserve = 32;
 
 /// Games whose positions carry a cheap 64-bit transposition key (maintained
 /// incrementally, so reading it is free on the search hot path).  Positions

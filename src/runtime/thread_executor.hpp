@@ -283,6 +283,13 @@ class ThreadExecutor {
     // an acquire that will succeed is mid-flight (the stall check below
     // would misfire otherwise).
     std::atomic<int> in_flight{0};
+    // Commit epoch: bumped once per applied commit, after the engine has
+    // applied it and before the committer drops in_flight.  A dry worker
+    // reads it before its pre-claim and declares a stall only if
+    // in_flight == 0 *and* the epoch has not moved: a peer's commit landing
+    // between the missed acquire and the in_flight read can publish new
+    // work and then drop in_flight to 0, which is progress, not a stall.
+    std::atomic<std::uint64_t> commit_epoch{0};
     std::atomic<bool> failed{false};
 
     // Parking.  wake_mu serializes only the sleep/wake handshake, never any
@@ -430,6 +437,7 @@ class ThreadExecutor {
             (void)commit_all(engine, done_buf);
           }
           st.units += done_buf.size();
+          commit_epoch.fetch_add(1);
           in_flight.fetch_sub(static_cast<int>(done_buf.size()));
           harvest(done_buf);
           done_buf.clear();
@@ -437,6 +445,7 @@ class ThreadExecutor {
         if (engine.done() || failed.load()) return broadcast_exit();
 
         // --- acquire the next batch ---------------------------------------
+        const std::uint64_t epoch = commit_epoch.load();
         in_flight.fetch_add(static_cast<int>(k));  // pre-claim (see above)
         const std::size_t got = acquire_into(engine, k, run_buf);
         if (got < k) in_flight.fetch_sub(static_cast<int>(k - got));
@@ -445,6 +454,7 @@ class ThreadExecutor {
           // combine all the way to the root); re-check before stalling.
           if (engine.done()) return broadcast_exit();
           if (in_flight.load() == 0) {
+            if (commit_epoch.load() != epoch) continue;  // retry the acquire
             report_stall(index);
             return broadcast_exit();
           }
@@ -594,6 +604,7 @@ class ThreadExecutor {
         for (auto it = pending.begin(); it != pending.end();) {
           if ((*it)->pc.applied.load(std::memory_order_acquire)) {
             st.units += (*it)->entries.size();
+            commit_epoch.fetch_add(1);
             in_flight.fetch_sub(static_cast<int>((*it)->entries.size()));
             harvest((*it)->entries);
             it = pending.erase(it);
@@ -632,6 +643,7 @@ class ThreadExecutor {
         if (engine.try_commit_batch(std::span<EntryT>(done_buf))) {
           if (tr != nullptr) st.commit_hist.record(ns(f0, Clock::now()));
           st.units += done_buf.size();
+          commit_epoch.fetch_add(1);
           in_flight.fetch_sub(static_cast<int>(done_buf.size()));
           harvest(done_buf);
           done_buf.clear();
@@ -769,6 +781,7 @@ class ThreadExecutor {
           drain_pending();
           return broadcast_exit();
         }
+        const std::uint64_t epoch = commit_epoch.load();
         const std::size_t got = refill();
         if (got == 0) {
           if (!pending.empty()) {
@@ -780,6 +793,7 @@ class ThreadExecutor {
           }
           if (engine.done()) return broadcast_exit();
           if (in_flight.load() == 0) {
+            if (commit_epoch.load() != epoch) continue;  // retry the refill
             report_stall(index);
             return broadcast_exit();
           }

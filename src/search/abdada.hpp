@@ -133,7 +133,7 @@ class AbdadaSearcher {
     const std::size_t levels =
         static_cast<std::size_t>(std::max(0, depth_ - start_ply)) + 1;
     if (kids_pool_.size() < levels) kids_pool_.resize(levels);
-    for (auto& buf : kids_pool_) buf.reserve(branching_hint_of(game_));
+    for (auto& buf : kids_pool_) buf.reserve(kChildReserve);
     const Value v = visit(pos, w.alpha, w.beta, start_ply, /*exclusive=*/false);
     ERS_DCHECK(v != kAbdadaOnEvaluation);
     return SearchResult{v, stats_};

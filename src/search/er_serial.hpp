@@ -178,7 +178,7 @@ class ErSerialSearcher {
     // touch the heap.
     static thread_local std::vector<typename G::Position> kids;
     kids.clear();
-    kids.reserve(branching_hint_of(game_));
+    kids.reserve(kChildReserve);
     if (ply < depth_) game_.generate_children(r.pos, kids);
     if (kids.empty()) {
       ++stats_.leaves_evaluated;
