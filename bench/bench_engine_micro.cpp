@@ -11,6 +11,7 @@
 
 #include "core/parallel_er.hpp"
 #include "othello/eval.hpp"
+#include "othello/game.hpp"
 #include "othello/positions.hpp"
 #include "randomtree/random_tree.hpp"
 
@@ -74,6 +75,23 @@ void BM_RandomTreeChildren(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RandomTreeChildren);
+
+void BM_OthelloGenerateChildren(benchmark::State& state) {
+  // The call the searchers make at every interior node: the mover's legal
+  // moves, then one apply_move (flips plus incremental hash) per child.
+  // Arg is the paper root O1..O3.
+  const othello::OthelloGame g(othello::paper_position(static_cast<int>(state.range(0))));
+  const othello::OthelloGame::Position root = g.root();
+  std::vector<othello::OthelloGame::Position> kids;
+  for (auto _ : state) {
+    kids.clear();
+    g.generate_children(root, kids);
+    benchmark::DoNotOptimize(kids.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["children"] = static_cast<double>(kids.size());
+}
+BENCHMARK(BM_OthelloGenerateChildren)->DenseRange(1, 3);
 
 void BM_ParallelErSim(benchmark::State& state) {
   const UniformRandomTree g(4, 7, 11, -1000, 1000);

@@ -5,6 +5,7 @@
 // 0, h1 is bit 7, a8 is bit 56.  Shift helpers mask off the wrap-around
 // files so rays never cross the board edge.
 
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <string>
@@ -17,7 +18,6 @@ using Bitboard = std::uint64_t;
 
 inline constexpr Bitboard kFileA = 0x0101010101010101ULL;
 inline constexpr Bitboard kFileH = 0x8080808080808080ULL;
-inline constexpr Bitboard kAll = ~0ULL;
 inline constexpr Bitboard kCorners = 0x8100000000000081ULL;  // a1,h1,a8,h8
 
 [[nodiscard]] constexpr Bitboard bit(int square) noexcept {
@@ -36,6 +36,11 @@ inline constexpr Bitboard kCorners = 0x8100000000000081ULL;  // a1,h1,a8,h8
   return s;
 }
 
+/// All 64 bits if b is nonzero, else 0: a select mask that needs no branch.
+[[nodiscard]] constexpr Bitboard full_if_any(Bitboard b) noexcept {
+  return Bitboard{0} - Bitboard{b != 0};
+}
+
 // Directional single-step shifts (edge-safe).
 [[nodiscard]] constexpr Bitboard east(Bitboard b) noexcept { return (b & ~kFileH) << 1; }
 [[nodiscard]] constexpr Bitboard west(Bitboard b) noexcept { return (b & ~kFileA) >> 1; }
@@ -46,26 +51,39 @@ inline constexpr Bitboard kCorners = 0x8100000000000081ULL;  // a1,h1,a8,h8
 [[nodiscard]] constexpr Bitboard south_east(Bitboard b) noexcept { return south(east(b)); }
 [[nodiscard]] constexpr Bitboard south_west(Bitboard b) noexcept { return south(west(b)); }
 
-/// Apply the dir-th directional shift (0..7).
-[[nodiscard]] constexpr Bitboard shift_dir(Bitboard b, int dir) noexcept {
-  switch (dir) {
-    case 0: return east(b);
-    case 1: return west(b);
-    case 2: return north(b);
-    case 3: return south(b);
-    case 4: return north_east(b);
-    case 5: return north_west(b);
-    case 6: return south_east(b);
-    default: return south_west(b);
-  }
+/// Squares adjacent (8-neighborhood) to any square of b: b's east and west
+/// neighbours, plus that three-wide row moved one rank up and one down.
+[[nodiscard]] constexpr Bitboard neighbors(Bitboard b) noexcept {
+  const Bitboard sides = east(b) | west(b);
+  const Bitboard row = b | sides;
+  return sides | north(row) | south(row);
 }
 
-/// Squares adjacent (8-neighborhood) to any square of b.
-[[nodiscard]] constexpr Bitboard neighbors(Bitboard b) noexcept {
-  Bitboard n = 0;
-  for (int d = 0; d < 8; ++d) n |= shift_dir(b, d);
-  return n;
+/// Rays run in eight directions.  The first kUpRays step toward higher
+/// square indices (east, north-west, north, north-east), so the nearest
+/// square of such a ray is its lowest set bit; the other four step toward
+/// lower indices, and their nearest square is the highest set bit.
+inline constexpr int kUpRays = 4;
+
+using Rays = std::array<Bitboard, 8>;
+
+namespace detail {
+
+consteval std::array<Rays, 64> make_rays() {
+  using Step = Bitboard (*)(Bitboard) noexcept;
+  constexpr Step kSteps[8] = {east, north_west, north, north_east,
+                              west, south_east, south, south_west};
+  std::array<Rays, 64> rays{};
+  for (int sq = 0; sq < 64; ++sq)
+    for (int d = 0; d < 8; ++d)
+      for (Bitboard b = kSteps[d](bit(sq)); b != 0; b = kSteps[d](b)) rays[sq][d] |= b;
+  return rays;
 }
+
+}  // namespace detail
+
+/// kRays[sq][d]: the squares beyond sq in direction d, out to the board edge.
+inline constexpr std::array<Rays, 64> kRays = detail::make_rays();
 
 /// Parse "e4"-style square names; returns -1 on malformed input.
 [[nodiscard]] constexpr int square_from_name(const char* name) noexcept {

@@ -71,46 +71,82 @@ struct Board {
   return b;
 }
 
-/// Bitboard of squares where `own` may legally place a disc against `opp`.
-/// Dumb7-style fill: in each direction, accumulate runs of opponent discs
-/// adjacent to own discs; a legal square is an empty square one step beyond
-/// such a run.
+namespace detail {
+
+/// Kogge-Stone occluded fill: `gen` spread through `pro` by up to seven
+/// steps of `shift` bits toward higher square indices, in three doubling
+/// rounds (runs of 1, 2, then 4 steps).
+[[nodiscard]] constexpr Bitboard fill_up(Bitboard gen, Bitboard pro, int shift) noexcept {
+  gen |= pro & (gen << shift);
+  pro &= pro << shift;
+  gen |= pro & (gen << 2 * shift);
+  pro &= pro << 2 * shift;
+  return gen | (pro & (gen << 4 * shift));
+}
+
+/// fill_up toward lower square indices.
+[[nodiscard]] constexpr Bitboard fill_down(Bitboard gen, Bitboard pro, int shift) noexcept {
+  gen |= pro & (gen >> shift);
+  pro &= pro >> shift;
+  gen |= pro & (gen >> 2 * shift);
+  pro &= pro >> 2 * shift;
+  return gen | (pro & (gen >> 4 * shift));
+}
+
+/// Squares one step past a run of `run` discs that starts next to an `own`
+/// disc, both ways along the line whose squares are `shift` bits apart.
+[[nodiscard]] constexpr Bitboard past_runs(Bitboard own, Bitboard run, int shift) noexcept {
+  return ((fill_up(own, run, shift) & run) << shift) |
+         ((fill_down(own, run, shift) & run) >> shift);
+}
+
+}  // namespace detail
+
+/// Bitboard of squares where `own` may legally place a disc against `opp`:
+/// the empty squares just past a run of opponent discs that an own disc
+/// starts, along the four lines: shift 1 walks a rank, 8 a file, 7 and 9
+/// the diagonals.
 [[nodiscard]] constexpr Bitboard legal_moves(Bitboard own, Bitboard opp) noexcept {
-  const Bitboard empty = ~(own | opp);
-  Bitboard moves = 0;
-  for (int d = 0; d < 8; ++d) {
-    Bitboard run = opp & shift_dir(own, d);
-    for (int step = 0; step < 5; ++step) run |= opp & shift_dir(run, d);
-    moves |= empty & shift_dir(run, d);
-  }
-  return moves;
+  // An opponent disc on the a- or h-file cannot sit inside a run along a
+  // line that changes file; leaving those discs out also stops the fills
+  // from wrapping from one rank's h-file to the next rank's a-file.
+  const Bitboard inner = opp & ~(kFileA | kFileH);
+  const Bitboard past = detail::past_runs(own, inner, 1) | detail::past_runs(own, opp, 8) |
+                        detail::past_runs(own, inner, 7) | detail::past_runs(own, inner, 9);
+  return past & ~(own | opp);
 }
 
 [[nodiscard]] constexpr Bitboard legal_moves(const Board& b) noexcept {
   return legal_moves(b.own(), b.opp());
 }
 
-/// Discs flipped if `own` plays on `square` (0 if the move is illegal).
+/// Discs flipped if `own` plays on `square` (0 if the square is occupied or
+/// the move is illegal).  On each ray from `square`, the nearest square
+/// that holds no opponent disc ends the run, and the run flips if that
+/// square holds an own disc.  Every square costs the same eight ray
+/// lookups; no loop walks a run.
 [[nodiscard]] constexpr Bitboard flips_for(Bitboard own, Bitboard opp,
                                            int square) noexcept {
-  const Bitboard placed = bit(square);
-  if ((own | opp) & placed) return 0;
-  Bitboard all = 0;
-  for (int d = 0; d < 8; ++d) {
-    Bitboard run = 0;
-    Bitboard cursor = shift_dir(placed, d);
-    while (cursor & opp) {
-      run |= cursor;
-      cursor = shift_dir(cursor, d);
-    }
-    if (cursor & own) all |= run;  // run is bracketed by an own disc
+  const Rays& rays = kRays[square];
+  Bitboard flips = 0;
+  for (int d = 0; d < kUpRays; ++d) {
+    const Bitboard ends = rays[d] & ~opp;
+    const Bitboard end = ends & (0 - ends);  // lowest set bit
+    flips |= rays[d] & (end - 1) & full_if_any(end & own);
   }
-  return all;
+  for (int d = kUpRays; d < 8; ++d) {
+    const Bitboard ends = rays[d] & ~opp;
+    // Highest set bit.  The `| 1` keeps countl_zero's operand nonzero, so
+    // the shift stays below 64; `& ends` drops that stand-in bit again.
+    const Bitboard end = (bit(63) >> std::countl_zero(ends | 1)) & ends;
+    flips |= rays[d] & (0 - (end << 1)) & full_if_any(end & own);
+  }
+  return flips & full_if_any(bit(square) & ~(own | opp));
 }
 
 /// Apply a disc placement for the side to move; the move must be legal.
 /// The Zobrist hash is updated incrementally: one key for the placed disc,
-/// two per flipped disc (color swap), one for the side to move.
+/// one per flipped disc (its color swap), one for the side to move.
 [[nodiscard]] constexpr Board apply_move(const Board& b, int square) noexcept {
   const Bitboard flips = flips_for(b.own(), b.opp(), square);
   Board next = b;
@@ -125,10 +161,7 @@ struct Board {
     next.hash ^= kZobristWhite[square];
   }
   Bitboard flipped = flips;
-  while (flipped != 0) {
-    const int sq = pop_lsb(flipped);
-    next.hash ^= kZobristBlack[sq] ^ kZobristWhite[sq];
-  }
+  while (flipped != 0) next.hash ^= kZobristFlip[pop_lsb(flipped)];
   next.to_move = opponent_of(b.to_move);
   next.hash ^= kZobristWhiteToMove;
   return next;

@@ -5,6 +5,7 @@
 // evaluate(b) == -evaluate(b with side to move swapped).
 
 #include <array>
+#include <cstdint>
 
 #include "othello/board.hpp"
 #include "util/value.hpp"
@@ -40,10 +41,32 @@ struct EvalWeights {
   return w;
 }
 
-/// Sum of square weights over the discs in `discs`.
+namespace detail {
+
+/// [rank][pattern]: the sum of kSquareWeights over the squares of `rank`
+/// (0-based) whose file bits are set in the 8-bit `pattern`.
+consteval std::array<std::array<std::int16_t, 256>, 8> make_rank_weights() {
+  std::array<std::array<std::int16_t, 256>, 8> table{};
+  for (int rank = 0; rank < 8; ++rank)
+    for (int pattern = 0; pattern < 256; ++pattern) {
+      int s = 0;
+      for (int file = 0; file < 8; ++file)
+        if (pattern & (1 << file)) s += kSquareWeights[rank * 8 + file];
+      table[rank][pattern] = static_cast<std::int16_t>(s);
+    }
+  return table;
+}
+
+}  // namespace detail
+
+inline constexpr std::array<std::array<std::int16_t, 256>, 8> kRankWeights =
+    detail::make_rank_weights();
+
+/// Sum of square weights over the discs in `discs`, one table lookup per rank.
 [[nodiscard]] constexpr int positional_score(Bitboard discs) noexcept {
   int s = 0;
-  while (discs != 0) s += kSquareWeights[pop_lsb(discs)];
+  for (int rank = 0; rank < 8; ++rank)
+    s += kRankWeights[rank][(discs >> (8 * rank)) & 0xff];
   return s;
 }
 

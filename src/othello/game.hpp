@@ -38,7 +38,9 @@ class OthelloGame {
   void generate_children(const Position& p, std::vector<Position>& out) const {
     Bitboard moves = legal_moves(p.board);
     if (moves == 0) {
-      if (!is_game_over(p.board)) out.push_back(Position{apply_pass(p.board)});
+      // The mover has no move, so the game goes on only if the opponent has.
+      if (legal_moves(p.board.opp(), p.board.own()) != 0)
+        out.push_back(Position{apply_pass(p.board)});
       return;
     }
     while (moves != 0) {
