@@ -41,7 +41,11 @@ namespace ers::baselines {
 struct AbdadaOptions {
   int threads = 1;
   Value aspiration_delta = 25;  ///< half-width of the root guess window
-  int table_log2 = 20;          ///< shared TT size (2^n 16-byte slots)
+  /// Shared TT size (2^n 16-byte slots).  18 (4 MiB) fits the depth-7
+  /// solves timed against ER: at 20 (16 MiB), building and freeing the
+  /// table took 1.9–2.9 ms of every solve, and R1/R2 at depth 10–11
+  /// searched within 3% of 20's nodes (EXPERIMENTS.md, "Unit kernel").
+  int table_log2 = 18;
   int nproc_log2 = 16;          ///< nproc side table (2^n counters, 256 KiB)
   OrderingPolicy ordering;
   obs::TraceSession* trace = nullptr;

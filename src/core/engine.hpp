@@ -10,10 +10,11 @@
 //     acquire()  -> WorkItem        pick the next unit (Table 1 dispatch /
 //                                   speculative promotion / serial subtree)
 //     compute()  -> ComputeResult   the heavy, *pure* part of the unit —
-//                                   child generation or a serial-ER subtree
-//                                   search.  Touches no engine state, so the
-//                                   thread executor runs it with no engine
-//                                   lock held and the simulator charges its
+//                                   child generation or a serial subtree
+//                                   search (EngineConfig::unit_kernel).
+//                                   Touches no engine state, so the thread
+//                                   executor runs it with no engine lock
+//                                   held and the simulator charges its
 //                                   cost.
 //     commit()                      apply the result: mutate the tree, run
 //                                   the paper's combine procedure, apply the
@@ -102,7 +103,8 @@
 //
 // Work classification follows the paper exactly:
 //   * nodes at ply >= serial_depth are leaves of the *parallel* tree and are
-//     resolved by one serial-ER search (the heavy unit);
+//     resolved by one serial search (the heavy unit): Figure 8's protocol
+//     at the unit's root, the configured unit kernel below it;
 //   * Table 1 governs what a node popped from the primary queue generates;
 //   * the combine procedure backs values up until it reaches a node that
 //     still has work below it and cannot be cut off; Table 2 (implemented in
@@ -133,7 +135,9 @@
 #include "core/types.hpp"
 #include "gametree/game.hpp"
 #include "obs/trace.hpp"
+#include "search/alpha_beta.hpp"
 #include "search/er_serial.hpp"
+#include "search/table_hooks.hpp"
 #include "util/check.hpp"
 #include "util/value.hpp"
 
@@ -916,9 +920,16 @@ class Engine {
     out.is_done = false;
     out.stats = {};
     out.compute_ns = 0;
+    // The unit kernel's child buffers live per worker thread, so units
+    // after the first on a thread search without touching the heap.
+    static thread_local typename AlphaBetaSearcher<G>::PlyBuffers plies;
+    AlphaBetaSearcher<G> kernel(game_, cfg_.search_depth, cfg_.ordering,
+                                &plies);
+    kernel.with_shared_table(tt).with_ordering_tables(cfg_.order_tables);
     ErSerialSearcher<G> searcher(game_, cfg_.search_depth, cfg_.ordering);
-    searcher.with_shared_table(tt);
-    searcher.with_ordering_tables(cfg_.order_tables);
+    searcher.with_shared_table(tt).with_ordering_tables(cfg_.order_tables);
+    if (cfg_.unit_kernel == UnitKernel::kAlphaBeta)
+      searcher.with_unit_kernel(&kernel);
     switch (item.kind) {
       case WorkKind::kPromote:
         break;  // nothing heavy
@@ -929,10 +940,10 @@ class Engine {
         break;
       }
       case WorkKind::kSerialEvalFirst: {
-        auto r = searcher.eval_first_from(pos, n.ply, item.window);
+        const auto r = searcher.eval_first_from(pos, n.ply, item.window,
+                                                out.child_positions);
         out.value = r.value;
-        out.is_done = r.done || r.children.empty();
-        out.child_positions = std::move(r.children);
+        out.is_done = r.done;
         out.stats = r.stats;
         break;
       }
@@ -957,7 +968,7 @@ class Engine {
       }
       case WorkKind::kExpand: {
         if (n.expanded()) break;  // positions already known (promoted e-child)
-        [[maybe_unused]] std::uint16_t order_hint = 0;
+        std::uint16_t order_hint = 0;
         if constexpr (HashedGame<G>) {
           // An exact entry covering the full remaining depth resolves the
           // node without expanding its subtree — this is how one worker's
@@ -1003,21 +1014,10 @@ class Engine {
         // the TT move and killers and breaks ties by history credit —
         // with empty tables this reduces to the identical static
         // permutation (see sort_children_ordered).
-        if (item.ntype != NodeType::kENode &&
-            cfg_.ordering.should_sort(n.ply)) {
-          bool sorted_with_tables = false;
-          if constexpr (HashedGame<G>) {
-            if (cfg_.order_tables != nullptr) {
-              sort_children_ordered(game_, out.child_positions, out.stats,
-                                    *cfg_.order_tables, n.ply + 1,
-                                    order_hint);
-              sorted_with_tables = true;
-            }
-          }
-          if (!sorted_with_tables)
-            sort_children_by_static_value(game_, out.child_positions,
-                                          out.stats);
-        }
+        TableHooks<G>{tt, cfg_.order_tables}.order(
+            game_, out.child_positions, n.ply + 1,
+            item.ntype != NodeType::kENode && cfg_.ordering.should_sort(n.ply),
+            order_hint, out.stats);
         break;
       }
     }

@@ -112,6 +112,18 @@ struct SpecControlConfig {
   }
 };
 
+/// The serial search below the root of every unit (DESIGN.md §18).  Above
+/// the serial-depth cutover the engine runs ER either way, and each unit
+/// keeps Figure 8's protocol at its root (WorkKind).
+enum class UnitKernel : std::uint8_t {
+  /// Allocation-free alpha-beta (search/alpha_beta.hpp), the default: as
+  /// cheap per node as the best serial searcher.
+  kAlphaBeta,
+  /// The paper's serial ER (Figure 8).  The Table 3 trees pin it, so the
+  /// simulated Figures 10–13 keep the paper's node counts.
+  kSerialEr,
+};
+
 /// EngineConfig::publish_frontier sentinel: derive F from the tree shape
 /// and shard count at engine construction (core/shard_policy.hpp,
 /// derived_publish_frontier).  Any value >= 0 is an explicit override.
@@ -119,14 +131,15 @@ inline constexpr int kAdaptiveFrontier = -1;
 
 struct EngineConfig {
   int search_depth = 7;
-  /// Ply at which serial ER takes over: nodes at this ply are resolved as a
-  /// single (heavy) work unit.  Clamped to [0, search_depth].
+  /// Ply at which the serial search takes over: nodes at this ply are
+  /// resolved as a single (heavy) work unit, searched below its root by
+  /// `unit_kernel`.  Clamped to [0, search_depth].
   ///
   /// The default, 3, sizes the unit for real cores rather than for the
-  /// simulator: at depth 7 a unit is a 4-ply serial-ER search (median
-  /// ~20 µs on random b = 8 trees) against ~1 µs of engine acquire +
-  /// commit, where the paper's ply 5 gave ~1 µs units and left 60% of
-  /// thread time waiting on the heap lock.  4-thread sweeps on a 4-core
+  /// simulator: at depth 7 a unit is a 4-ply serial search (with the
+  /// serial-ER kernel that set it, median ~20 µs on random b = 8 trees)
+  /// against ~1 µs of engine acquire + commit, where the paper's ply 5 gave
+  /// ~1 µs units and left 60% of thread time waiting on the heap lock.  4-thread sweeps on a 4-core
   /// host (EXPERIMENTS.md §7; every value checked against alpha-beta)
   /// found ply 3 fastest or within 10% of fastest on random trees with
   /// b = 4..16 and on Othello at depths 7 and 9.  Narrow deep trees want a
@@ -175,14 +188,19 @@ struct EngineConfig {
   SpecControlConfig spec_control;
   /// Shared move-ordering tables (search/ordering.hpp): history counters
   /// and killer slots consulted by expansion-time child sorts and the
-  /// serial-ER units.  Not owned; null keeps the paper's pure
+  /// serial units.  Not owned; null keeps the paper's pure
   /// static-value sort.  Ignored unless the game is a HashedGame.
   OrderingTables* order_tables = nullptr;
-  /// Lock-free transposition table shared by every worker's compute phase
-  /// (probe on expansion, probe/store throughout serial subtree units).
-  /// Not owned; must outlive the engine.  Ignored unless the game is a
-  /// HashedGame.
+  /// Lock-free transposition table shared by every worker's compute phase:
+  /// kExpand units probe it for an exact full-depth entry (and the TT
+  /// move), and serial units probe and store it at every node of their
+  /// search, with either unit kernel.  Not owned; must outlive the engine.
+  /// Ignored unless the game is a HashedGame.
   ConcurrentTranspositionTable* shared_table = nullptr;
+  /// The search below the root of every serial unit.  Alpha-beta by
+  /// default; harness/tree_registry.cpp pins kSerialEr for the Table 3
+  /// trees, the only reason that kernel stays.
+  UnitKernel unit_kernel = UnitKernel::kAlphaBeta;
   /// Tracing session for the scheduling events only the engine sees
   /// (speculative spawn/cancel, unit commits, combine batches).  The engine
   /// writes the session's dedicated engine tracer from whichever thread is
@@ -198,7 +216,7 @@ struct EngineConfig {
 struct EngineStats {
   SearchStats search;               ///< nodes/evals, parallel region + serial units
   std::uint64_t units_processed = 0;        ///< work units completed
-  std::uint64_t serial_units = 0;           ///< units resolved by serial ER
+  std::uint64_t serial_units = 0;           ///< units resolved below the cutover
   std::uint64_t promotions_mandatory = 0;   ///< first e-child selections
   std::uint64_t promotions_speculative = 0; ///< extra e-children (spec queue)
   std::uint64_t refutations_dispatched = 0; ///< children re-typed r-node
@@ -378,12 +396,13 @@ struct EngineWasteStats {
 
 /// What a worker should do with an acquired node.  Nodes at or below the
 /// serial-depth cutover become serial work units whose semantics depend on
-/// the node's role, mirroring Figure 8 exactly: a full ER evaluation for
+/// the node's role, mirroring Figure 8 exactly: a full evaluation for
 /// e-nodes, an Eval_first for undecided nodes (elder-grandchild evaluation),
-/// and Refute_rest / Eval_first+Refute_rest for refutations.
+/// and Refute_rest / Eval_first+Refute_rest for refutations.  Below the
+/// unit's root, EngineConfig::unit_kernel searches.
 enum class WorkKind : std::uint8_t {
   kExpand,           ///< apply Table 1 (cheap tree bookkeeping)
-  kSerialFull,       ///< full serial-ER evaluation (e-node or horizon leaf)
+  kSerialFull,       ///< full evaluation (e-node or horizon leaf)
   kSerialEvalFirst,  ///< evaluate only the first child (undecided node)
   kSerialRefuteRest, ///< finish a partially evaluated node (has tentative)
   kSerialRefute,     ///< refute a fresh node (Eval_first + Refute_rest)

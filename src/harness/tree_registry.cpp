@@ -14,6 +14,9 @@ core::EngineConfig engine_config(int depth, int serial, bool sort) {
   cfg.serial_depth = serial;
   cfg.ordering.sort_by_static_value = sort;
   cfg.ordering.max_sort_ply = 6;  // paper §7: sorted down to ply 5 inclusive
+  // The paper resolves every cutover node with serial ER (Figure 8); the
+  // simulated Figures 10–13 and their node counts depend on it.
+  cfg.unit_kernel = core::UnitKernel::kSerialEr;
   return cfg;
 }
 

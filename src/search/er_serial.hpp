@@ -35,18 +35,28 @@
 // classified fail-hard result on exit; Eval_first accepts only *conclusive*
 // hits (exact, or a bound that already resolves the window) since its normal
 // result is tentative and must not be stored; Refute_rest stores its final
-// value (it completes the node).  This is how parallel ER workers share
-// search knowledge: every serial subtree unit reads and feeds the one table.
+// value (it completes the node).  The probes, stores and ordering-table
+// updates go through search/table_hooks.hpp, shared with alpha-beta.
+//
+// Unit entry points (eval_first_from, refute_rest_from, refute_from,
+// run_from) are the serial work units the parallel engine hands a worker at
+// its serial-depth cutover.  Below a unit's root they search with serial ER
+// by default, or with an attached alpha-beta kernel (with_unit_kernel; the
+// engine's default, DESIGN.md §18); search() is the one point where the two
+// part.
 
 #include <algorithm>
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "gametree/game.hpp"
+#include "search/alpha_beta.hpp"
 #include "search/concurrent_ttable.hpp"
 #include "search/ordering.hpp"
+#include "search/table_hooks.hpp"
 #include "util/check.hpp"
 #include "util/value.hpp"
 
@@ -55,6 +65,8 @@ namespace ers {
 template <Game G>
 class ErSerialSearcher {
  public:
+  using Position = typename G::Position;
+
   ErSerialSearcher(const G& game, int depth, OrderingPolicy ordering = {})
       : game_(game), depth_(depth), ordering_(ordering) {}
   ErSerialSearcher(const G&&, int, OrderingPolicy = {}) = delete;
@@ -63,7 +75,7 @@ class ErSerialSearcher {
   /// serves every worker's serial units).  Ignored unless G is a HashedGame.
   /// Pass nullptr to detach.
   ErSerialSearcher& with_shared_table(ConcurrentTranspositionTable* table) noexcept {
-    tt_ = table;
+    hooks_.tt = table;
     return *this;
   }
 
@@ -72,7 +84,18 @@ class ErSerialSearcher {
   /// killers of the child ply next, history credit breaks ties (DESIGN.md
   /// §17).  Ignored unless G is a HashedGame.  Pass nullptr to detach.
   ErSerialSearcher& with_ordering_tables(OrderingTables* tables) noexcept {
-    tables_ = tables;
+    hooks_.tables = tables;
+    return *this;
+  }
+
+  /// Search below the root of every entry point with `kernel` instead of
+  /// serial ER: run_from and refute_from become one kernel search of the
+  /// node, while eval_first_from and refute_rest_from keep Figure 8's
+  /// protocol at the node and search its children with the kernel.  The
+  /// kernel should carry the same tables as this searcher.  Not owned;
+  /// pass nullptr to restore serial ER.
+  ErSerialSearcher& with_unit_kernel(AlphaBetaSearcher<G>* kernel) noexcept {
+    kernel_ = kernel;
     return *this;
   }
 
@@ -80,21 +103,21 @@ class ErSerialSearcher {
 
   /// Search the subtree rooted at `pos` (which sits at absolute ply
   /// `start_ply`; the horizon stays at the searcher's configured depth) with
-  /// an initial window.  Fail-hard with respect to `w`.  This entry point is
-  /// what the parallel engine uses below its serial-depth cutover.
-  [[nodiscard]] SearchResult run_from(typename G::Position pos, int start_ply,
+  /// an initial window.  Fail-hard with respect to `w`.  This is also the
+  /// parallel engine's unit for e-nodes and horizon nodes.
+  [[nodiscard]] SearchResult run_from(const Position& pos, int start_ply,
                                       Window w = full_window()) {
     stats_ = {};
     best_root_.reset();
     root_ply_ = start_ply;
-    Rec root(std::move(pos));
-    const Value v = er(root, w.alpha, w.beta, start_ply);
+    const Value v = search(pos, w.alpha, w.beta, start_ply, /*e_node=*/true);
+    if (kernel_ != nullptr) best_root_ = kernel_->best_root_position();
     return SearchResult{v, stats_};
   }
 
   /// The root child that achieved the returned value (the move to play);
   /// empty if the root was a leaf.  Valid after run()/run_from().
-  [[nodiscard]] const std::optional<typename G::Position>& best_root_position()
+  [[nodiscard]] const std::optional<Position>& best_root_position()
       const noexcept {
     return best_root_;
   }
@@ -102,55 +125,93 @@ class ErSerialSearcher {
   /// Result of an Eval_first-only unit (parallel engine, cutover nodes).
   struct PartialResult {
     Value value = 0;
-    bool done = false;  ///< cutoff achieved or single child: node resolved
-    std::vector<typename G::Position> children;  ///< generated child order
+    bool done = false;  ///< cutoff, single child, leaf or table hit: resolved
     SearchStats stats;
   };
 
-  /// Figure 8's Eval_first applied at (pos, start_ply): generate (and
-  /// order) the children, fully evaluate the first one, and report the
-  /// node's tentative value plus the frozen child order so a later
-  /// refute_rest_from continues consistently.
-  [[nodiscard]] PartialResult eval_first_from(typename G::Position pos,
-                                              int start_ply, Window w) {
+  /// Figure 8's Eval_first applied at (pos, ply): generate and order
+  /// the children into `children` (replacing its contents), fully evaluate
+  /// the first one, and report the node's tentative value.  `children` is
+  /// the frozen child order a later refute_rest_from continues with; it is
+  /// left empty when the node resolved without expanding.
+  [[nodiscard]] PartialResult eval_first_from(const Position& pos, int ply,
+                                              Window w,
+                                              std::vector<Position>& children) {
     stats_ = {};
-    Rec root(std::move(pos));
+    children.clear();
     PartialResult out;
-    out.value = eval_first(root, w.alpha, w.beta, start_ply);
-    out.done = root.done;
-    out.children.reserve(root.kids.size());
-    for (Rec& k : root.kids) out.children.push_back(std::move(k.pos));
+    out.done = true;
+    const int remaining = depth_ - ply;
+    TtHit h;
+    if (hooks_.probe(pos, remaining, h, stats_) &&
+        TableHooks<G>::conclusive(h, w.alpha, w.beta)) {
+      out.value = h.value;
+    } else {
+      if (ply < depth_) game_.generate_children(pos, children);
+      if (children.empty()) {
+        ++stats_.leaves_evaluated;
+        out.value = game_.evaluate(pos);
+        hooks_.store(pos, out.value, remaining, -kValueInf, kValueInf, stats_);
+      } else {
+        ++stats_.interior_expanded;
+        hooks_.order(game_, children, ply + 1, ordering_.should_sort(ply),
+                     h.move_hint, stats_);
+        const Value t = negate(search(children.front(), negate(w.beta),
+                                      negate(w.alpha), ply + 1,
+                                      /*e_node=*/true));
+        out.value = std::max(w.alpha, t);
+        out.done = out.value >= w.beta || children.size() == 1;
+        if (out.value >= w.beta)
+          hooks_.note_cutoff(children.front(), ply + 1, remaining);
+      }
+    }
     out.stats = stats_;
     return out;
   }
 
-  /// Figure 8's Refute_rest applied at (pos, start_ply): finish a node whose
+  /// Figure 8's Refute_rest applied at (pos, ply): finish a node whose
   /// first child already contributed `tentative`; `children` must be the
-  /// exact list returned by eval_first_from (the expansion is not recounted).
+  /// exact order eval_first_from produced (the expansion is not recounted).
   /// Takes a span so the parallel engine can pass its slab-frozen child
   /// array without materializing a vector.
   [[nodiscard]] SearchResult refute_rest_from(
-      typename G::Position pos, int start_ply, Window w, Value tentative,
-      std::span<const typename G::Position> children) {
+      const Position& pos, int ply, Window w, Value tentative,
+      std::span<const Position> children) {
     stats_ = {};
     ERS_CHECK(!children.empty());
-    Rec root(std::move(pos));
-    root.expanded = true;
-    root.kids.reserve(children.size());
-    for (const auto& c : children) root.kids.emplace_back(c);
-    root.value = tentative;
-    const Value v = refute_rest(root, w.alpha, w.beta, start_ply);
+    const int remaining = depth_ - ply;
+    TtHit h;
+    // A concurrent worker may have finished the node since Eval_first.
+    if (hooks_.probe(pos, remaining, h, stats_) &&
+        TableHooks<G>::conclusive(h, w.alpha, w.beta))
+      return SearchResult{h.value, stats_};
+    // Keep the tentative value (see header comment); it came from the first
+    // child, the hint candidate until a later child raises it.
+    std::uint64_t best_key =
+        tentative > w.alpha ? TableHooks<G>::key_of(children.front()) : 0;
+    Value v = std::max(tentative, w.alpha);
+    // The window may have tightened since Eval_first ran; the tentative
+    // value alone can already refute the node.
+    if (v >= w.beta) hooks_.note_cutoff(children.front(), ply + 1, remaining);
+    for (std::size_t i = 1; i < children.size() && v < w.beta; ++i) {
+      const Value t = negate(search(children[i], negate(w.beta), negate(v),
+                                    ply + 1, /*e_node=*/false));
+      if (t > v) {
+        v = t;
+        best_key = TableHooks<G>::key_of(children[i]);
+      }
+      if (v >= w.beta) hooks_.note_cutoff(children[i], ply + 1, remaining);
+    }
+    hooks_.store(pos, v, remaining, w.alpha, w.beta, stats_, best_key);
     return SearchResult{v, stats_};
   }
 
   /// Serial refutation of a fresh node: Eval_first, then (if not already
   /// done) Refute_rest — the r-node path of Figure 8's main loop.
-  [[nodiscard]] SearchResult refute_from(typename G::Position pos,
-                                         int start_ply, Window w) {
+  [[nodiscard]] SearchResult refute_from(const Position& pos, int start_ply,
+                                         Window w) {
     stats_ = {};
-    Rec root(std::move(pos));
-    Value v = eval_first(root, w.alpha, w.beta, start_ply);
-    if (!root.done) v = refute_rest(root, w.alpha, w.beta, start_ply);
+    const Value v = search(pos, w.alpha, w.beta, start_ply, /*e_node=*/false);
     return SearchResult{v, stats_};
   }
 
@@ -158,25 +219,43 @@ class ErSerialSearcher {
   /// Per-node search record: Figure 8's `node` with the child list cached so
   /// eval_first and refute_rest see one consistent, once-generated ordering.
   struct Rec {
-    explicit Rec(typename G::Position position) : pos(std::move(position)) {}
+    explicit Rec(Position position) : pos(std::move(position)) {}
 
-    typename G::Position pos;
+    Position pos;
     Value value = -kValueInf;  ///< tentative value, own side's perspective
     bool done = false;
     bool expanded = false;
     std::vector<Rec> kids;
   };
 
-  /// Generate (once) and possibly statically order the children of `r`.
+  /// Fully search a fresh node within (alpha, beta) — the one point where
+  /// the unit kernel is chosen.  Serial ER follows Figure 8 for the node's
+  /// role: a full ER evaluation for an e-node, Eval_first then Refute_rest
+  /// otherwise.  The alpha-beta kernel searches both alike.
+  Value search(const Position& pos, Value alpha, Value beta, int ply,
+               bool e_node) {
+    if (kernel_ != nullptr) {
+      const SearchResult r = kernel_->run_from(pos, ply, Window{alpha, beta});
+      stats_ += r.stats;
+      return r.value;
+    }
+    Rec r(pos);
+    if (e_node) return er(r, alpha, beta, ply);
+    const Value v = eval_first(r, alpha, beta, ply);
+    return r.done ? v : refute_rest(r, alpha, beta, ply);
+  }
+
+  /// Generate (once) and possibly statically order the children of `r`;
+  /// `hint` is the TT move from the probe that preceded the expansion.
   /// Returns true if `r` is a leaf at this ply.
-  bool expand(Rec& r, int ply, bool is_e_node) {
+  bool expand(Rec& r, int ply, bool is_e_node, std::uint16_t hint) {
     if (r.expanded) return r.kids.empty();
     r.expanded = true;
     // Reused scratch: every element is moved out into r.kids below before
     // expand can be re-entered (the recursion happens after this returns),
     // so one buffer per thread suffices and steady-state expansion does not
     // touch the heap.
-    static thread_local std::vector<typename G::Position> kids;
+    static thread_local std::vector<Position> kids;
     kids.clear();
     kids.reserve(kChildReserve);
     if (ply < depth_) game_.generate_children(r.pos, kids);
@@ -185,84 +264,11 @@ class ErSerialSearcher {
       return true;
     }
     ++stats_.interior_expanded;
-    if (!is_e_node && ordering_.should_sort(ply)) {
-      bool sorted_with_tables = false;
-      if constexpr (HashedGame<G>) {
-        if (tables_ != nullptr) {
-          // The parent's stored best-move fingerprint fronts the TT move;
-          // any stored entry carries it, regardless of depth coverage.
-          std::uint16_t hint = 0;
-          TtHit h;
-          if (tt_ != nullptr && tt_->probe(r.pos.tt_key(), h))
-            hint = h.move_hint;
-          sort_children_ordered(game_, kids, stats_, *tables_, ply + 1, hint);
-          sorted_with_tables = true;
-        }
-      }
-      if (!sorted_with_tables)
-        sort_children_by_static_value(game_, kids, stats_);
-    }
-    // Warm the table lines of the whole sibling set now: by the time
-    // er/eval_first descends into each child and probes it, its slot is in
-    // cache.  (The probe-site prefetch in tt_probe fires too late to hide
-    // any latency — it is immediately followed by the load.)
-    if constexpr (HashedGame<G>) {
-      if (tt_ != nullptr)
-        for (const auto& k : kids) tt_->prefetch(k.tt_key());
-    }
+    hooks_.order(game_, kids, ply + 1,
+                 !is_e_node && ordering_.should_sort(ply), hint, stats_);
     r.kids.reserve(kids.size());
     for (auto& k : kids) r.kids.emplace_back(std::move(k));
     return false;
-  }
-
-  // --- shared-table plumbing (no-ops without a table / non-hashed game) ---
-
-  /// Probe the shared table for `p`; true only when the entry validates and
-  /// covers the remaining depth.
-  bool tt_probe(const Rec& p, int remaining, TtHit& out) {
-    if constexpr (HashedGame<G>) {
-      if (tt_ == nullptr) return false;
-      const std::uint64_t key = p.pos.tt_key();
-      tt_->prefetch(key);
-      ++stats_.tt_probes;
-      if (tt_->probe(key, out) && out.depth >= remaining) {
-        ++stats_.tt_hits;
-        return true;
-      }
-    }
-    return false;
-  }
-
-  /// Store a completed fail-hard result for `p`, classified against the
-  /// window it was searched with; `best_key` is the key of the child that
-  /// produced the value (0 = none), stored as the entry's move hint except
-  /// on fail-lows, where no single move is responsible.
-  void tt_store(const Rec& p, Value v, int remaining, Value alpha, Value beta,
-                std::uint64_t best_key = 0) {
-    if constexpr (HashedGame<G>) {
-      if (tt_ == nullptr) return;
-      const std::uint16_t hint =
-          v > alpha && best_key != 0 ? move_fingerprint(best_key) : 0;
-      tt_->store(p.pos.tt_key(), v, remaining, classify_bound(v, alpha, beta),
-                 hint);
-      ++stats_.tt_stores;
-    }
-  }
-
-  /// Credit the child that refuted its parent (a beta cutoff) to the shared
-  /// ordering tables: a killer slot at the child's ply and history credit
-  /// scaled by the parent's remaining depth.
-  void note_cutoff(const Rec& child, int child_ply, int remaining) {
-    if constexpr (HashedGame<G>) {
-      if (tables_ == nullptr) return;
-      const std::uint64_t key = child.pos.tt_key();
-      tables_->killers.record(child_ply, key);
-      const auto r =
-          static_cast<std::uint32_t>(remaining < 0 ? 0 : remaining);
-      tables_->history.add(key, r * r + 1);
-    } else {
-      (void)child; (void)child_ply; (void)remaining;
-    }
   }
 
   /// Figure 8, function ER — a *full* fail-hard evaluation of p within
@@ -270,36 +276,17 @@ class ErSerialSearcher {
   Value er(Rec& p, Value alpha, Value beta, int ply) {
     const int remaining = depth_ - ply;
     TtHit h;
-    if (tt_probe(p, remaining, h)) {
-      switch (h.bound) {
-        case BoundKind::kExact:
-          return h.value;
-        case BoundKind::kLower:
-          if (h.value >= beta) return h.value;
-          if (h.value > alpha) alpha = h.value;
-          break;
-        case BoundKind::kUpper:
-          if (h.value <= alpha) return h.value;
-          if (h.value < beta) beta = h.value;
-          break;
-      }
-    }
-    if (expand(p, ply, /*is_e_node=*/true)) {
+    if (hooks_.probe(p.pos, remaining, h, stats_) &&
+        TableHooks<G>::resolves(h, alpha, beta))
+      return h.value;
+    if (expand(p, ply, /*is_e_node=*/true, h.move_hint)) {
       const Value v = game_.evaluate(p.pos);
-      tt_store(p, v, remaining, -kValueInf, kValueInf);  // terminal: exact
+      hooks_.store(p.pos, v, remaining, -kValueInf, kValueInf, stats_);  // exact
       return v;
     }
     const Value v = er_children(p, alpha, beta, ply);
-    tt_store(p, v, remaining, alpha, beta, best_child_key_);
+    hooks_.store(p.pos, v, remaining, alpha, beta, stats_, best_child_key_);
     return v;
-  }
-
-  /// The child's position key, 0 for non-hashed games.
-  [[nodiscard]] static std::uint64_t key_of(const Rec& r) noexcept {
-    if constexpr (HashedGame<G>)
-      return r.pos.tt_key();
-    else
-      return 0;
   }
 
   /// ER's two phases over an expanded interior node.  Sets best_child_key_
@@ -314,11 +301,11 @@ class ErSerialSearcher {
       if (c.done) {
         if (t > p.value) {
           p.value = t;
-          best_key = key_of(c);
+          best_key = TableHooks<G>::key_of(c.pos);
           if (ply == root_ply_) best_root_ = c.pos;
         }
         if (p.value >= beta) {
-          note_cutoff(c, ply + 1, depth_ - ply);
+          hooks_.note_cutoff(c.pos, ply + 1, depth_ - ply);
           best_child_key_ = best_key;
           return p.value;
         }
@@ -333,11 +320,11 @@ class ErSerialSearcher {
       const Value t = negate(refute_rest(c, negate(beta), negate(p.value), ply + 1));
       if (t > p.value) {
         p.value = t;
-        best_key = key_of(c);
+        best_key = TableHooks<G>::key_of(c.pos);
         if (ply == root_ply_) best_root_ = c.pos;
       }
       if (p.value >= beta) {
-        note_cutoff(c, ply + 1, depth_ - ply);
+        hooks_.note_cutoff(c.pos, ply + 1, depth_ - ply);
         break;
       }
     }
@@ -352,28 +339,23 @@ class ErSerialSearcher {
   /// an inconclusive bound cannot substitute for one.
   Value eval_first(Rec& p, Value alpha, Value beta, int ply) {
     TtHit h;
-    if (tt_probe(p, depth_ - ply, h)) {
-      const bool conclusive =
-          h.bound == BoundKind::kExact ||
-          (h.bound == BoundKind::kLower && h.value >= beta) ||
-          (h.bound == BoundKind::kUpper && h.value <= alpha);
-      if (conclusive) {
-        p.value = h.value;
-        p.done = true;
-        return p.value;
-      }
+    if (hooks_.probe(p.pos, depth_ - ply, h, stats_) &&
+        TableHooks<G>::conclusive(h, alpha, beta)) {
+      p.value = h.value;
+      p.done = true;
+      return p.value;
     }
-    if (expand(p, ply, /*is_e_node=*/false)) {
+    if (expand(p, ply, /*is_e_node=*/false, h.move_hint)) {
       p.done = true;
       p.value = game_.evaluate(p.pos);
-      tt_store(p, p.value, depth_ - ply, -kValueInf, kValueInf);
+      hooks_.store(p.pos, p.value, depth_ - ply, -kValueInf, kValueInf, stats_);
       return p.value;
     }
     p.value = alpha;
     const Value t = negate(er(p.kids.front(), negate(beta), negate(p.value), ply + 1));
     if (t > p.value) p.value = t;
     p.done = p.value >= beta || p.kids.size() == 1;
-    if (p.value >= beta) note_cutoff(p.kids.front(), ply + 1, depth_ - ply);
+    if (p.value >= beta) hooks_.note_cutoff(p.kids.front().pos, ply + 1, depth_ - ply);
     return p.value;
   }
 
@@ -385,14 +367,11 @@ class ErSerialSearcher {
   Value refute_rest(Rec& p, Value alpha, Value beta, int ply) {
     const int remaining = depth_ - ply;
     TtHit h;
-    if (tt_probe(p, remaining, h)) {
-      if (h.bound == BoundKind::kExact ||
-          (h.bound == BoundKind::kLower && h.value >= beta) ||
-          (h.bound == BoundKind::kUpper && h.value <= alpha))
-        return h.value;
-    }
+    if (hooks_.probe(p.pos, remaining, h, stats_) &&
+        TableHooks<G>::conclusive(h, alpha, beta))
+      return h.value;
     const Value v = refute_rest_children(p, alpha, beta, ply);
-    tt_store(p, v, remaining, alpha, beta, best_child_key_);
+    hooks_.store(p.pos, v, remaining, alpha, beta, stats_, best_child_key_);
     return v;
   }
 
@@ -402,13 +381,14 @@ class ErSerialSearcher {
     ERS_DCHECK(p.expanded && !p.kids.empty());
     // The tentative value (if it survives max against alpha) came from the
     // first child, making it the hint candidate until a later child raises.
-    std::uint64_t best_key = p.value > alpha ? key_of(p.kids.front()) : 0;
+    std::uint64_t best_key =
+        p.value > alpha ? TableHooks<G>::key_of(p.kids.front().pos) : 0;
     // Keep the tentative value from Eval_first (see header comment).
     p.value = std::max(p.value, alpha);
     // The parent's bound may have tightened since Eval_first ran; the
     // tentative value alone can already refute p.
     if (p.value >= beta) {
-      note_cutoff(p.kids.front(), ply + 1, depth_ - ply);
+      hooks_.note_cutoff(p.kids.front().pos, ply + 1, depth_ - ply);
       best_child_key_ = best_key;
       return p.value;
     }
@@ -419,10 +399,10 @@ class ErSerialSearcher {
         t = negate(refute_rest(c, negate(beta), negate(p.value), ply + 1));
       if (t > p.value) {
         p.value = t;
-        best_key = key_of(c);
+        best_key = TableHooks<G>::key_of(c.pos);
       }
       if (p.value >= beta) {
-        note_cutoff(c, ply + 1, depth_ - ply);
+        hooks_.note_cutoff(c.pos, ply + 1, depth_ - ply);
         break;
       }
     }
@@ -433,10 +413,10 @@ class ErSerialSearcher {
   const G& game_;
   int depth_;
   OrderingPolicy ordering_;
-  ConcurrentTranspositionTable* tt_ = nullptr;
-  OrderingTables* tables_ = nullptr;
+  TableHooks<G> hooks_;
+  AlphaBetaSearcher<G>* kernel_ = nullptr;
   SearchStats stats_;
-  std::optional<typename G::Position> best_root_;
+  std::optional<Position> best_root_;
   int root_ply_ = 0;
   /// Key of the child that produced the last er_children /
   /// refute_rest_children result — valid only immediately after those

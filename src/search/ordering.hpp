@@ -194,8 +194,9 @@ void sort_children_by_static_value(const G& game,
   keyed.reserve(children.size());
   for (std::size_t i = 0; i < children.size(); ++i)
     keyed.emplace_back(game.evaluate(children[i]), i);
-  std::stable_sort(keyed.begin(), keyed.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  // The (key, index) pairs are distinct, so sorting them whole is a stable
+  // sort by key, without the temporary buffer std::stable_sort allocates.
+  std::sort(keyed.begin(), keyed.end());
   auto& sorted = scratch.sorted;
   sorted.clear();
   sorted.reserve(children.size());
@@ -223,7 +224,7 @@ void sort_children_by_static_value(const G& game,
 ///
 ///     tier * 2^53  +  static_value * 2^20  -  min(history, 2^20 - 1)
 ///
-/// so one stable_sort preserves the static order exactly where the tables
+/// so one stable sort preserves the static order exactly where the tables
 /// are silent: with empty tables and no hint every key is
 /// `2*2^53 + value*2^20`, a strictly monotone transform of the static
 /// key, and the sort (both stable) permutes identically.  Degrades to the
@@ -266,9 +267,7 @@ void sort_children_ordered(const G& game,
           i);
     }
     if (fronted) stats.order_tt_first += 1;
-    std::stable_sort(
-        keyed.begin(), keyed.end(),
-        [](const auto& a, const auto& b) { return a.first < b.first; });
+    std::sort(keyed.begin(), keyed.end());  // stable by key, as above
     auto& sorted = scratch.sorted;
     sorted.clear();
     sorted.reserve(children.size());

@@ -48,6 +48,14 @@ TEST(TreeRegistry, ScaleReducesDepthsConsistently) {
   }
 }
 
+TEST(TreeRegistry, EveryTreePinsTheSerialErUnitKernel) {
+  // The simulated Figures 10–13 reproduce the paper's serial-ER units.
+  for (int scale = 0; scale < 4; ++scale)
+    for (const auto& t : table3_trees(scale))
+      EXPECT_EQ(t.engine.unit_kernel, core::UnitKernel::kSerialEr)
+          << t.name << " scale " << scale;
+}
+
 TEST(TreeRegistry, RandomTreesUseDistinctSeeds) {
   const auto r1 = std::get<UniformRandomTree>(tree_by_name("R1").game);
   const auto r2 = std::get<UniformRandomTree>(tree_by_name("R2").game);

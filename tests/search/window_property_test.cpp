@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "randomtree/random_tree.hpp"
 #include "search/alpha_beta.hpp"
 #include "search/er_serial.hpp"
@@ -65,31 +67,48 @@ TEST_P(WindowProperty, AlphaBetaAndErRespectArbitraryWindows) {
 INSTANTIATE_TEST_SUITE_P(Seeds, WindowProperty,
                          ::testing::Range<std::uint64_t>(0, 15));
 
-TEST(WindowProperty, ErPartialUnitsRespectWindows) {
-  // The engine's cutover units — eval_first_from / refute_rest_from /
-  // refute_from — must compose into a fail-hard evaluation of the node.
+// The engine's cutover units — run_from (kSerialFull), eval_first_from
+// (kSerialEvalFirst), refute_rest_from (kSerialRefuteRest) and refute_from
+// (kSerialRefute) — must each be, or compose into, a fail-hard evaluation
+// of the node under the given unit kernel.
+void check_units_respect_windows(bool alpha_beta_kernel) {
+  SCOPED_TRACE(alpha_beta_kernel ? "alpha-beta kernel" : "serial ER");
   for (std::uint64_t seed = 0; seed < 15; ++seed) {
     const UniformRandomTree g(3, 4, seed, -40, 40);
     const Value truth = negmax_search(g, 4).value;
     Xoshiro256StarStar rng(seed + 555);
-    const Value a = static_cast<Value>(rng.between(-60, 50));
-    const Value b = static_cast<Value>(rng.between(a + 1, 61));
-    const Window w{a, b};
+    for (int trial = 0; trial < 4; ++trial) {
+      const Value a = static_cast<Value>(rng.between(-60, 50));
+      const Value b = static_cast<Value>(rng.between(a + 1, 61));
+      const Window w{a, b};
+      AlphaBetaSearcher<UniformRandomTree> kernel(g, 4);
+      auto units = [&] {
+        ErSerialSearcher<UniformRandomTree> s(g, 4);
+        if (alpha_beta_kernel) s.with_unit_kernel(&kernel);
+        return s;
+      };
 
-    ErSerialSearcher<UniformRandomTree> s(g, 4);
-    auto part = s.eval_first_from(g.root(), 0, w);
-    Value result = part.value;
-    if (!part.done) {
-      ErSerialSearcher<UniformRandomTree> s2(g, 4);
-      result = s2.refute_rest_from(g.root(), 0, w, part.value, part.children)
-                   .value;
+      std::vector<UniformRandomTree::Position> kids;
+      const auto part = units().eval_first_from(g.root(), 0, w, kids);
+      Value result = part.value;
+      if (!part.done)
+        result = units().refute_rest_from(g.root(), 0, w, part.value, kids)
+                     .value;
+      check_fail_hard(result, truth, w, "eval_first+refute_rest", seed);
+      check_fail_hard(units().refute_from(g.root(), 0, w).value, truth, w,
+                      "refute_from", seed);
+      check_fail_hard(units().run_from(g.root(), 0, w).value, truth, w,
+                      "run_from", seed);
     }
-    check_fail_hard(result, truth, w, "eval_first+refute_rest", seed);
-
-    ErSerialSearcher<UniformRandomTree> s3(g, 4);
-    check_fail_hard(s3.refute_from(g.root(), 0, w).value, truth, w,
-                    "refute_from", seed);
   }
+}
+
+TEST(WindowProperty, ErPartialUnitsRespectWindows) {
+  check_units_respect_windows(/*alpha_beta_kernel=*/false);
+}
+
+TEST(WindowProperty, AlphaBetaKernelUnitsRespectWindows) {
+  check_units_respect_windows(/*alpha_beta_kernel=*/true);
 }
 
 }  // namespace
