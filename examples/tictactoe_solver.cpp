@@ -32,7 +32,6 @@ int main() {
   const auto er = er_serial_search(game, 9);
   core::EngineConfig cfg;
   cfg.search_depth = 9;
-  cfg.serial_depth = 4;
   const auto par = parallel_er_threads(game, cfg, 4);
 
   TextTable algos({"algorithm", "root value", "verdict", "nodes"});

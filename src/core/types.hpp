@@ -135,19 +135,21 @@ struct EngineConfig {
   /// resolved as a single (heavy) work unit, searched below its root by
   /// `unit_kernel`.  Clamped to [0, search_depth].
   ///
-  /// The default, 3, sizes the unit for real cores rather than for the
-  /// simulator: at depth 7 a unit is a 4-ply serial search (with the
-  /// serial-ER kernel that set it, median ~20 µs on random b = 8 trees)
-  /// against ~1 µs of engine acquire + commit, where the paper's ply 5 gave
-  /// ~1 µs units and left 60% of thread time waiting on the heap lock.  4-thread sweeps on a 4-core
-  /// host (EXPERIMENTS.md §7; every value checked against alpha-beta)
-  /// found ply 3 fastest or within 10% of fastest on random trees with
-  /// b = 4..16 and on Othello at depths 7 and 9.  Narrow deep trees want a
-  /// deeper cutover: at b = 3, depth 12, ply 3 ran 1.4–3× slower than the
-  /// best ply.  The simulator still peaks at the paper's choices at 16
-  /// processors, so the Table 3 trees (harness/tree_registry.cpp) pin
-  /// theirs: 5 at depth 7 (R3, O1–O3) and 7 at depths 10–11 (R1, R2).
-  int serial_depth = 3;
+  /// The default, 2, sizes the unit for the alpha-beta kernel on real
+  /// cores: at depth 7 a unit is a 5-ply alpha-beta search (median 34–70
+  /// µs on random b = 8 trees, depending on host load) against ~1 µs of
+  /// engine acquire + commit, and a b = 8 tree splits into 64 units.  In
+  /// the 4-thread sweep on a 4-core host (bench_serial_depth's second
+  /// table, EXPERIMENTS.md §7; every value checked against alpha-beta)
+  /// ply 2 was the fastest ply on random trees with b = 4..32 and on
+  /// Othello at depths 7 and 9; the old default, ply 3, took 1.9× its time
+  /// at b = 8, 2.4× at b = 16 and 8× at b = 32.  Narrow deep trees want a
+  /// deeper cutover: ply 2 took 1.07× the best ply's time at b = 3,
+  /// depth 12, 1.24× at b = 3, depth 14 and 1.6× at b = 2, depth 22.  The
+  /// simulator still peaks at the paper's choices at 16 processors, so the
+  /// Table 3 trees (harness/tree_registry.cpp) pin theirs: 5 at depth 7
+  /// (R3, O1–O3) and 7 at depths 10–11 (R1, R2).
+  int serial_depth = 2;
   /// Number of independently orderable problem-heap shards (paper §8's
   /// "distribute the work to reduce processor interaction").  Work routes to
   /// the shard owning a node's parent, so siblings colocate and a worker
@@ -325,9 +327,9 @@ enum class WasteCause : std::uint8_t {
 };
 inline constexpr std::size_t kWasteCauseCount = 5;
 
-/// The ledger's ply axis: engine nodes live above the serial frontier
-/// (ply in [0, search_depth - serial_depth]), so bands are single plies
-/// with one tail band.
+/// The ledger's ply axis: engine nodes live at or above the serial cutover
+/// (ply in [0, serial_depth]; nodes below it sit inside units), so bands
+/// are single plies with one tail band.
 inline constexpr std::size_t kWastePlyBands = 4;
 [[nodiscard]] constexpr std::size_t waste_band_of(std::uint32_t ply) noexcept {
   return ply < kWastePlyBands - 1 ? ply : kWastePlyBands - 1;
