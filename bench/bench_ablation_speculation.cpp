@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
         spec.early_e_child_choice = (mask & 4) != 0;
         if (trace != nullptr) trace->clear();  // keep the last point only
         const auto pt =
-            harness::run_parallel_point(tree, p, serial, {}, &spec, 1, trace);
+            harness::run_parallel_point(tree, p, serial, {}, &spec, trace);
         reg.set("tree", tree.name);
         bench::register_parallel_point(reg, pt);
         const double idle_share =

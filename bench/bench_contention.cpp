@@ -1,12 +1,6 @@
-// Distributed problem heap (paper §8, future work): "We expect that this
-// efficiency loss can be reduced by distributing work in a manner that
-// reduces processor interaction."  The simulator's sharded heap locks model
-// exactly that: S independently-serialized queue shards instead of one.
-// The contention-bound regime is a deep serial cutover (many small units).
-//
-// Second section (shared search knowledge, also beyond the paper): the
-// lock-free transposition table compared across three modes on the Othello
-// midgame suite with real threads —
+// Shared search knowledge (beyond the paper): the lock-free transposition
+// table compared across three modes on the Othello midgame suite with real
+// threads —
 //     none       no table (the paper's setup: workers share only the heap)
 //     shared     one ConcurrentTranspositionTable probed by every worker
 //     perthread  a private table per worker (same total probes, no sharing)
@@ -67,64 +61,10 @@ TtRun run_tt_mode(const G& game, ers::core::EngineConfig cfg, int threads,
 
 int main(int argc, char** argv) {
   using namespace ers;
-  const auto opt = bench::parse_options(argc, argv, {"R3"});
-  bench::print_header("Distributed problem heap ( 8 future work)");
-
-  obs::TraceSession session;
-  obs::TraceSession* trace = bench::trace_session_for(opt, session);
+  const auto opt = bench::parse_options(argc, argv, {"O1", "O2", "O3"});
   obs::MetricsRegistry reg;
   reg.set("bench", "contention");
-  TextTable table({"tree", "serial depth", "procs", "shards", "speedup",
-                   "efficiency", "lock share", "idle share"});
-  std::vector<std::string> shard_json;
-  for (const auto& name : opt.tree_names) {
-    const auto base = harness::tree_by_name(name, opt.scale);
-    const auto serial = harness::run_serial_baselines(base);
-    // Two regimes: the paper's serial depth, and a contention-bound one two
-    // plies deeper.
-    for (const int sd :
-         {base.engine.serial_depth,
-          std::min(base.engine.search_depth, base.engine.serial_depth + 2)}) {
-      auto cfg = base.engine;
-      cfg.serial_depth = sd;
-      for (const int shards : {1, 2, 4, 16}) {
-        const int p = 16;
-        if (trace != nullptr) trace->clear();  // keep the last point only
-        const auto metrics = std::visit(
-            [&](const auto& game) {
-              return parallel_er_sim(game, cfg, p, {}, shards, 1, trace)
-                  .metrics;
-            },
-            base.game);
-        reg.set("tree", base.name);
-        reg.set("serial_depth", sd);
-        reg.set("shards", shards);
-        obs::register_sim_metrics(reg, metrics);
-        const double speedup = static_cast<double>(serial.best_cost()) /
-                               static_cast<double>(metrics.makespan);
-        const double total = static_cast<double>(metrics.makespan) * p;
-        table.add_row({base.name, std::to_string(sd), std::to_string(p),
-                       std::to_string(shards), TextTable::num(speedup, 2),
-                       TextTable::num(speedup / p, 3),
-                       TextTable::num(metrics.lock_wait_time / total, 3),
-                       TextTable::num(metrics.idle_time / total, 3)});
-        shard_json.push_back(bench::JsonObject()
-                                 .field("tree", base.name)
-                                 .field("serial_depth", sd)
-                                 .field("procs", p)
-                                 .field("shards", shards)
-                                 .field("speedup", speedup)
-                                 .field("lock_share", metrics.lock_wait_time / total)
-                                 .field("idle_share", metrics.idle_time / total)
-                                 .str());
-      }
-    }
-  }
-  table.print();
-  // Deterministic simulated sweep: one rep is exact.
-  bench::write_bench_json("contention", 1, shard_json);
 
-  // --- shared transposition table on the Othello midgame suite ------------
   bench::print_header("Shared transposition table (thread runtime, O1-O3)");
   constexpr int kTableLog2 = 20;
   TextTable tt_table({"tree", "mode", "threads", "value", "nodes", "units",
@@ -173,6 +113,6 @@ int main(int argc, char** argv) {
               nodes_shared_4t < nodes_none_4t ? "shared table searches less"
                                               : "NO REDUCTION");
   bench::write_bench_json("ttable", opt.reps, tt_json);
-  bench::write_observability(opt, trace, reg, "contention");
+  bench::write_observability(opt, nullptr, reg, "contention");
   return 0;
 }

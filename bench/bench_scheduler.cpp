@@ -92,10 +92,7 @@ SchedRun run_config(const G& game, const ers::core::EngineConfig& cfg,
       sampler->stop();  // ring is safe to read / hand off from here
       if (sampler_out != nullptr) *sampler_out = std::move(sampler);
     }
-    if (traced && reg != nullptr) {
-      obs::register_thread_report(*reg, report);
-      obs::register_engine_lock_stats(*reg, engine.lock_stats());
-    }
+    if (traced && reg != nullptr) obs::register_thread_report(*reg, report);
     ERS_CHECK(engine.root_value() == oracle &&
               "batched scheduler changed the search result");
     sum.value = engine.root_value();
@@ -132,9 +129,7 @@ int main(int argc, char** argv) {
   using namespace ers;
   auto opt = bench::parse_options(argc, argv, {"O1", "O2", "O3", "R1", "R3"});
   bench::print_header("Batched problem-heap scheduling (thread runtime)");
-  std::printf("reps per configuration: %d\n", opt.reps);
-  std::printf("problem-heap shards: %d%s\n\n", opt.shards,
-              opt.shards > 1 ? " (work-stealing scheduler)" : "");
+  std::printf("reps per configuration: %d\n\n", opt.reps);
 
   obs::TraceSession session;
   obs::TraceSession* trace = bench::trace_session_for(opt, session);
@@ -147,9 +142,7 @@ int main(int argc, char** argv) {
   double wait_share_t8_k1 = 0.0, wait_share_t8_k8 = 0.0;
   int t8_points = 0;
   for (const auto& name : opt.tree_names) {
-    auto base = harness::tree_by_name(name, opt.scale);
-    base.engine.heap_shards = opt.shards;
-    if (opt.frontier >= 0) base.engine.publish_frontier = opt.frontier;
+    const auto base = harness::tree_by_name(name, opt.scale);
     const Value oracle = std::visit(
         [&](const auto& game) {
           return alpha_beta_search(game, base.engine.search_depth,
@@ -183,7 +176,6 @@ int main(int argc, char** argv) {
                            .field("tree", base.name)
                            .field("threads", threads)
                            .field("batch", batch)
-                           .field("shards", opt.shards)
                            .field("units", r.units)
                            .field("units_per_sec", r.units_per_sec)
                            .field("lock_wait_share", r.lock_wait_share)

@@ -42,9 +42,8 @@ int main(int argc, char** argv) {
       "Speculation ranking & control policies (§8 future work, DESIGN.md "
       "§17)");
 
-  // The two steal-aware rows exercise the §17 controller; steal feedback
-  // stays off because the simulator has no stealing executor (pressure
-  // would be identically zero anyway — see note_steal).
+  // The two steal-aware rows exercise the §17 controller (the rank keeps
+  // its historical name; its labels key BENCH_spec_policy.json).
   core::SpecControlConfig demote_only;
   demote_only.bound_demote = true;
   core::SpecControlConfig demote_budget;
@@ -96,7 +95,7 @@ int main(int argc, char** argv) {
         if (trace != nullptr) trace->clear();  // keep the last point only
         const auto [value, engine_stats, metrics, waste] = std::visit(
             [&](const auto& game) {
-              auto r = parallel_er_sim(game, cfg, p, {}, opt.shards, 1, trace);
+              auto r = parallel_er_sim(game, cfg, p, {}, 1, trace);
               return std::tuple{r.value, r.engine, r.metrics, r.waste};
             },
             tree.game);

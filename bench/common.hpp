@@ -7,12 +7,6 @@
 // All binaries accept:
 //   --scale N   reduce every search/serial depth by N (quick smoke runs)
 //   --trees A,B restrict to a subset of tree names
-//   --shards S  problem-heap shards (1 = the paper's single heap); the
-//               simulated benches route heap-access delays per shard, the
-//               thread benches run the work-stealing scheduler
-//   --frontier F publish frontier for the thread benches (DESIGN.md §13):
-//               0 = full-lock commits (the PR 5 path), >0 = truncated
-//               touch sets + epoch publication; unset = engine default
 //   --trace F   record the bench's runs into a Perfetto trace at F
 //               (open in ui.perfetto.dev, or feed to tools/trace_report)
 //   --metrics F write the consolidated metrics snapshot (JSON) to F
@@ -46,8 +40,6 @@ namespace ers::bench {
 struct FigureOptions {
   int scale = 0;
   int reps = 5;  ///< repetitions for thread-runtime (nondeterministic) benches
-  int shards = 1;  ///< problem-heap shards (1 = single heap, the seed setup)
-  int frontier = -1;  ///< publish frontier; < 0 = engine default (--frontier)
   std::vector<std::string> tree_names;
   std::string trace_path;    ///< empty = untraced (--trace)
   std::string metrics_path;  ///< empty = no snapshot (--metrics)
@@ -70,8 +62,6 @@ inline FigureOptions parse_options(int argc, char** argv,
   FigureOptions opt;
   opt.scale = static_cast<int>(args.get_int("scale", 0));
   opt.reps = static_cast<int>(args.get_int("reps", 5));
-  opt.shards = static_cast<int>(args.get_int("shards", 1));
-  opt.frontier = static_cast<int>(args.get_int("frontier", -1));
   opt.trace_path = args.get("trace", "");
   opt.metrics_path = args.get("metrics", "");
   opt.json_out = args.get("json-out", "");
@@ -158,7 +148,7 @@ inline void write_sweep_observability(const FigureOptions& opt,
 
 inline TreeSweep run_sweep(const std::string& name, int scale,
                            const core::SpeculationConfig* speculation = nullptr,
-                           int shards = 1, obs::TraceSession* trace = nullptr) {
+                           obs::TraceSession* trace = nullptr) {
   TreeSweep s{harness::tree_by_name(name, scale), {}, {}};
   s.serial = harness::run_serial_baselines(s.tree);
   for (const int p : harness::figure_processor_counts()) {
@@ -167,7 +157,7 @@ inline TreeSweep run_sweep(const std::string& name, int scale,
     // not a pile-up of every sweep point on one virtual timeline.
     if (trace != nullptr) trace->clear();
     s.points.push_back(harness::run_parallel_point(s.tree, p, s.serial, {},
-                                                   speculation, shards, trace));
+                                                   speculation, trace));
   }
   return s;
 }

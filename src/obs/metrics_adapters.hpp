@@ -31,11 +31,6 @@ inline void register_scheduler_stats(MetricsRegistry& reg,
   reg.set(prefix + "mean_batch", s.mean_batch_size());
   reg.set(prefix + "wakeups_issued", s.wakeups_issued);
   reg.set(prefix + "sleeps", s.sleeps);
-  reg.set(prefix + "steal_attempts", s.steal_attempts);
-  reg.set(prefix + "steal_hits", s.steal_hits);
-  reg.set(prefix + "steal_misses", s.steal_misses());
-  reg.set(prefix + "flush_deferrals", s.flush_deferrals);
-  reg.set(prefix + "global_refills", s.global_refills);
   // Streaming histograms (DESIGN.md §16): batch sizes always; compute-span
   // and commit latencies only on traced runs (the untraced hot path never
   // reads the clock).
@@ -94,23 +89,10 @@ inline void register_thread_report(MetricsRegistry& reg,
                                    const runtime::ThreadRunReport& r,
                                    const std::string& prefix = "run.") {
   reg.set(prefix + "threads", r.threads);
-  reg.set(prefix + "shards", r.shards);
   reg.set(prefix + "units", r.units);
   reg.set(prefix + "elapsed_ns", r.elapsed_ns);
   reg.set(prefix + "lock_wait_share", r.lock_wait_share());
   reg.set(prefix + "lock_hold_share", r.lock_hold_share());
-  reg.set(prefix + "combine_batches", r.combine_batches);
-  reg.set(prefix + "combine_records", r.combine_records);
-  reg.set(prefix + "combine_entries", r.combine_entries);
-  reg.set(prefix + "combine_peer_applied", r.combine_peer_applied);
-  reg.set(prefix + "combine_wait_ns", r.combine_wait_ns);
-  for (std::size_t s = 0; s < r.shard_lock_acquisitions.size(); ++s) {
-    const std::string shard = std::to_string(s);
-    reg.set(prefix + "shard_lock_acquisitions." + shard,
-            r.shard_lock_acquisitions[s]);
-    reg.set(prefix + "shard_lock_wait_ns." + shard, r.shard_lock_wait_ns[s]);
-    reg.set(prefix + "shard_lock_hold_ns." + shard, r.shard_lock_hold_ns[s]);
-  }
   reg.set("tt.probes", r.tt_probes);
   reg.set("tt.hits", r.tt_hits);
   reg.set("tt.hit_rate", r.tt_hit_rate());
@@ -130,43 +112,11 @@ inline void register_sim_metrics(MetricsRegistry& reg,
   reg.set(prefix + "units", m.units);
   reg.set(prefix + "heap_accesses", m.heap_accesses);
   reg.set(prefix + "utilization", m.utilization());
-  for (std::size_t s = 0; s < m.shard_accesses.size(); ++s)
-    reg.set(prefix + "shard_accesses." + std::to_string(s),
-            m.shard_accesses[s]);
   // Simulated runs always carry exact per-unit durations, so all three
   // histograms are populated (virtual-clock units).
   reg.put_histogram(prefix + "batch_size", m.batch_hist);
   reg.put_histogram(prefix + "compute_span_ns", m.compute_hist);
   reg.put_histogram(prefix + "commit_latency_ns", m.commit_hist);
-}
-
-/// Per-shard breakdown of the engine's own lock accounting (DESIGN.md
-/// §12/§13): `engine.shard<k>.lock_wait_ns` makes root-shard serialization
-/// visible shard-by-shard in trace_report/metrics dumps, and the
-/// `engine.root.*` family counts the epoch-publication traffic that the
-/// frontier truncation substitutes for those shard-0 lock sections.
-inline void register_engine_lock_stats(MetricsRegistry& reg,
-                                       const core::EngineLockStats& ls,
-                                       const std::string& prefix = "engine.") {
-  for (std::size_t s = 0; s < ls.shard_acquisitions.size(); ++s) {
-    const std::string shard = prefix + "shard" + std::to_string(s) + ".";
-    reg.set(shard + "lock_acquisitions", ls.shard_acquisitions[s]);
-    reg.set(shard + "lock_wait_ns", ls.shard_wait_ns[s]);
-    reg.set(shard + "lock_hold_ns", ls.shard_hold_ns[s]);
-  }
-  reg.set(prefix + "multi.lock_acquisitions", ls.multi_acquisitions);
-  reg.set(prefix + "multi.lock_wait_ns", ls.multi_wait_ns);
-  reg.set(prefix + "multi.lock_hold_ns", ls.multi_hold_ns);
-  reg.set(prefix + "combine.batches", ls.combine_batches);
-  reg.set(prefix + "combine.records", ls.combine_records);
-  reg.set(prefix + "combine.entries", ls.combine_entries);
-  reg.set(prefix + "combine.peer_applied", ls.combine_peer_applied);
-  reg.set(prefix + "combine.wait_ns", ls.combine_wait_ns);
-  reg.set(prefix + "root.truncated_records", ls.truncated_records);
-  reg.set(prefix + "root.continuations", ls.frontier_continuations);
-  reg.set(prefix + "root.publishes", ls.root_publishes);
-  reg.set(prefix + "root.publish_retries", ls.root_publish_retries);
-  reg.set(prefix + "root.validate_retries", ls.root_validate_retries);
 }
 
 inline void register_engine_stats(MetricsRegistry& reg,
@@ -183,11 +133,10 @@ inline void register_engine_stats(MetricsRegistry& reg,
   reg.set(prefix + "refutations_dispatched", e.refutations_dispatched);
   reg.set(prefix + "cutoffs_at_pop", e.cutoffs_at_pop);
   reg.set(prefix + "dead_items_dropped", e.dead_items_dropped);
-  // Steal-aware speculation control (DESIGN.md §17).
+  // Speculation control (DESIGN.md §17).
   reg.set(prefix + "spec.demotions", e.spec_demotions);
   reg.set(prefix + "spec.rewindows", e.spec_rewindows);
   reg.set(prefix + "spec.budget_deferrals", e.spec_budget_deferrals);
-  reg.set(prefix + "spec.steal_events", e.steal_events);
   reg.set("tt.probes", e.search.tt_probes);
   reg.set("tt.hits", e.search.tt_hits);
   reg.set("tt.stores", e.search.tt_stores);

@@ -2,16 +2,14 @@
 // Shared-memory runtime: real std::thread workers driving a problem-heap
 // engine (the counterpart of the paper's Sequent implementation).
 //
-// The engine is internally synchronized (per-shard locks plus a
-// flat-combining commit path, DESIGN.md §12), so this executor holds no
-// engine-wrapping mutex at all: acquires on different shards proceed
-// concurrently, and a commit either rides a concurrent combiner or becomes
-// the combiner itself inside the engine.  What remains up here is pure
-// scheduling policy — local run queues, work stealing, targeted wakeups —
-// plus a small wake mutex that exists only to park starving workers on a
-// condition variable without lost wakeups.  The heavy compute phase — child
-// generation and serial subtree searches — runs with no lock of any kind
-// held, which is where the real parallelism lives.
+// The engine synchronizes itself (one mutex, taken by every acquire and
+// commit; DESIGN.md §10), so this executor holds no engine-wrapping lock.
+// What remains up here is scheduling policy — one worker loop, targeted
+// wakeups and the stall check — plus a small wake mutex that exists only to
+// park starving workers on a condition variable without lost wakeups.  The
+// heavy compute phase — child generation and serial subtree searches —
+// runs with no lock of any kind held, which is where the real parallelism
+// lives.
 //
 // Batched scheduling (paper §6's contention remedy): each worker keeps a
 // small local run buffer filled by one acquire_batch call and a local
@@ -19,9 +17,9 @@
 // serialized sections are entered once per batch instead of twice per unit.
 // Wakeups are targeted: a worker that commits or acquires work wakes only
 // as many sleepers as there are units actually left on the queues (no
-// notify_all thundering herd), and a starving worker spins briefly before
-// sleeping so it can catch work released a few microseconds later without a
-// futex round trip.  Every worker keeps a SchedulerStats block; the engine's
+// notify_all thundering herd), and a starving worker yields a few times
+// before sleeping so it can catch work released a few microseconds later
+// without a futex round trip.  Every worker keeps a SchedulerStats block; the engine's
 // own lock accounting (EngineLockStats) is folded into the aggregate after
 // the join, so contention is measurable, not guessed (bench_scheduler
 // consumes exactly these counters).
@@ -38,16 +36,13 @@
 // time through the single-item calls.
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
-#include <deque>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <thread>
 #include <type_traits>
@@ -57,14 +52,8 @@
 #include "core/types.hpp"
 #include "obs/histogram.hpp"
 #include "obs/trace.hpp"
-#include "runtime/topology.hpp"
 #include "search/concurrent_ttable.hpp"
 #include "util/check.hpp"
-
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
 
 namespace ers::runtime {
 
@@ -73,11 +62,10 @@ namespace ers::runtime {
 /// includes preemption of the lock holder, which is precisely the
 /// interference a real shared heap suffers.
 struct SchedulerStats {
-  /// Engine lock sections.  Workers no longer hold an executor-side engine
-  /// mutex, so these three stay zero in the per-worker blocks and are
-  /// populated by folding the engine's own EngineLockStats into the
-  /// aggregate after the join (run() does this; benches read the totals
-  /// exactly as before).
+  /// Engine lock sections.  Workers hold no executor-side engine mutex, so
+  /// these three stay zero in the per-worker blocks and are populated by
+  /// folding the engine's own EngineLockStats into the aggregate after the
+  /// join (run() does this).
   std::uint64_t lock_acquisitions = 0;
   std::uint64_t lock_wait_ns = 0;  ///< blocked entering a serialized section
   std::uint64_t lock_hold_ns = 0;  ///< inside a serialized section
@@ -90,26 +78,6 @@ struct SchedulerStats {
   std::uint64_t batches = 0;       ///< non-empty acquire_batch calls
   std::uint64_t wakeups_issued = 0;  ///< targeted notify_one calls
   std::uint64_t sleeps = 0;          ///< times a worker parked on the cv
-  // Work-stealing counters (sharded scheduler only; zero on the single-heap
-  // path).  A steal attempt is one victim probe; a hit moved one unit from
-  // a peer's local run queue; misses are attempts - hits.
-  std::uint64_t steal_attempts = 0;
-  std::uint64_t steal_hits = 0;
-  /// Commit flushes this worker never had to apply itself: a concurrent
-  /// combiner picked up the published record and applied it (the
-  /// flat-combining path absorbed the contention the old deferred
-  /// try_lock flush used to dodge).  Sharded scheduler only.
-  std::uint64_t flush_deferrals = 0;
-  /// Refills that fell through an empty home shard to the global scan.
-  std::uint64_t global_refills = 0;
-
-  /// Misses are derived, not stored.  Stats blocks can be merged in any
-  /// order (a partially merged block may transiently carry hits from a
-  /// worker whose attempts were not folded in yet), so clamp instead of
-  /// letting the subtraction wrap to ~2^64.
-  [[nodiscard]] std::uint64_t steal_misses() const noexcept {
-    return steal_hits > steal_attempts ? 0 : steal_attempts - steal_hits;
-  }
   /// Distribution views (obs/histogram.hpp), per-worker single-writer and
   /// merged exactly like the scalar counters.  batch_hist records every
   /// acquired batch's size (its count equals `batches`, so the scalar
@@ -138,10 +106,6 @@ struct SchedulerStats {
     batches += o.batches;
     wakeups_issued += o.wakeups_issued;
     sleeps += o.sleeps;
-    steal_attempts += o.steal_attempts;
-    steal_hits += o.steal_hits;
-    flush_deferrals += o.flush_deferrals;
-    global_refills += o.global_refills;
     batch_hist.merge(o.batch_hist);
     compute_hist.merge(o.compute_hist);
     commit_hist.merge(o.commit_hist);
@@ -157,29 +121,10 @@ struct SchedulerStats {
 struct ThreadRunReport {
   std::uint64_t units = 0;
   int threads = 0;
-  int shards = 1;  ///< problem-heap shards the run was scheduled over
   std::uint64_t tt_probes = 0;  ///< table probes across all workers
   std::uint64_t tt_hits = 0;    ///< validated, depth-covering hits
   std::uint64_t elapsed_ns = 0;  ///< wall time of the run() call
   SchedulerStats sched;          ///< aggregated across workers + engine locks
-
-  // Engine-internal lock accounting (per-shard lock sections plus the
-  // flat-combining commit path), already folded into sched.lock_* above;
-  // kept verbatim here for per-shard metrics export and the benches.
-  std::vector<std::uint64_t> shard_lock_acquisitions;
-  std::vector<std::uint64_t> shard_lock_wait_ns;
-  std::vector<std::uint64_t> shard_lock_hold_ns;
-  std::uint64_t combine_batches = 0;       ///< combiner drain rounds
-  std::uint64_t combine_records = 0;       ///< publish records applied
-  std::uint64_t combine_entries = 0;       ///< commit entries in those records
-  std::uint64_t combine_peer_applied = 0;  ///< records applied by a peer combiner
-  std::uint64_t combine_wait_ns = 0;       ///< publisher blocked time
-  /// Frontier-truncation / epoch-publication counters (DESIGN.md §13).
-  std::uint64_t truncated_records = 0;
-  std::uint64_t frontier_continuations = 0;
-  std::uint64_t root_publishes = 0;
-  std::uint64_t root_publish_retries = 0;
-  std::uint64_t root_validate_retries = 0;
   /// Node-storage occupancy at the end of the run (engines exposing
   /// mem_stats(); zero otherwise) — arena/slab bytes and cold-record
   /// reclamation totals (DESIGN.md §15).
@@ -195,8 +140,8 @@ struct ThreadRunReport {
                ? 0.0
                : static_cast<double>(tt_hits) / static_cast<double>(tt_probes);
   }
-  /// Fraction of total worker-time spent blocked on heap locks — the
-  /// contention number batching and per-shard locking exist to shrink.
+  /// Fraction of total worker-time spent blocked on the heap lock — the
+  /// contention number batching exists to shrink.
   [[nodiscard]] double lock_wait_share() const noexcept {
     const double total = static_cast<double>(elapsed_ns) *
                          static_cast<double>(threads);
@@ -234,7 +179,7 @@ class ThreadExecutor {
   }
 
   /// Attach a trace session: every worker records its scheduling events
-  /// (compute spans, steals, refills, sleeps, wakeups) into its own ring,
+  /// (compute spans, batches, sleeps, wakeups) into its own ring,
   /// stamped with steady-clock ns from the session epoch; the engine's lock
   /// wait/hold spans land on the same per-worker rings via the session's
   /// thread-local tracer, which each worker installs for its lifetime.
@@ -248,36 +193,16 @@ class ThreadExecutor {
     return *this;
   }
 
-  /// Override the detected CPU topology (tests drive the placement logic
-  /// on synthetic multi-node layouts).  The default — detect() at run() —
-  /// reads sysfs and degenerates to round-robin on single-node machines.
-  ThreadExecutor& with_topology(CpuTopology topo) {
-    topology_ = std::move(topo);
-    has_topology_ = true;
-    return *this;
-  }
-
-  /// Pin each stealing worker to its planned CPU (Linux; no-op elsewhere).
-  /// Off by default: pinning helps steady-state NUMA runs but hurts when
-  /// the machine is shared, so it is an explicit opt-in.
-  ThreadExecutor& with_pin_workers(bool pin) noexcept {
-    pin_workers_ = pin;
-    return *this;
-  }
-
   /// Run the engine to completion on `threads_` workers; blocks until done.
-  /// Engines exposing a sharded heap (shard_count() > 1) are driven by the
-  /// work-stealing scheduler; everything else takes the single-heap path.
   ThreadRunReport run(EngineT& engine) {
     using Clock = std::chrono::steady_clock;
     const auto run_start = Clock::now();
 
-    const std::size_t S = shard_count_of(engine);
     if constexpr (!obs::kTracingEnabled) trace_ = nullptr;
     if (trace_ != nullptr) trace_->ensure_workers(threads_);
 
-    // Units acquired but not yet committed (includes items parked in local
-    // run queues and completion buffers).  Acquirers *pre-claim* their
+    // Units acquired but not yet committed (includes items in the workers'
+    // run and completion buffers).  Acquirers *pre-claim* their
     // batch — add k before the acquire, give back the shortfall after — so
     // a peer can never observe "no queued work and nothing in flight" while
     // an acquire that will succeed is mid-flight (the stall check below
@@ -305,21 +230,6 @@ class ThreadExecutor {
 
     std::vector<SchedulerStats> stats(static_cast<std::size_t>(threads_));
 
-    // Per-worker local run queues (sharded scheduler only).  The owner pops
-    // the front — its acquired priority order — while thieves take the
-    // back (the entries the owner would reach last) under try_lock.  A
-    // queue mutex is only ever taken with no other lock held.
-    struct LocalQueue {
-      std::mutex mu;
-      std::deque<ItemT> items;
-    };
-    std::vector<std::unique_ptr<LocalQueue>> local;
-    if (S > 1) {
-      local.reserve(static_cast<std::size_t>(threads_));
-      for (int i = 0; i < threads_; ++i)
-        local.push_back(std::make_unique<LocalQueue>());
-    }
-
     std::vector<std::unique_ptr<ConcurrentTranspositionTable>> tables;
     if (per_thread_table_log2_ >= 0) {
       tables.reserve(static_cast<std::size_t>(threads_));
@@ -337,7 +247,7 @@ class ThreadExecutor {
       std::unique_lock<std::mutex> lk(wake_mu);
       auto ready = [&] {
         return engine.done() || failed.load() || in_flight.load() == 0 ||
-               queued_estimate(engine) > 0;
+               engine.queued_count() > 0;
       };
       if (ready()) return;
       sleepers.fetch_add(1);
@@ -352,14 +262,12 @@ class ThreadExecutor {
                  trace_->now_ns());
     };
 
-    // Targeted wakeups: at most one sleeper per unit actually available
-    // (`extra` covers units just parked in the caller's own local queue —
-    // sleepers can steal those).  The empty wake_mu section pairs with the
-    // sleeper's locked re-check (see above).
-    auto wake_for = [&](std::size_t extra, SchedulerStats& st,
-                        obs::Tracer* tr) {
+    // Targeted wakeups: at most one sleeper per unit actually available.
+    // The empty wake_mu section pairs with the sleeper's locked re-check
+    // (see above).
+    auto wake_for = [&](SchedulerStats& st, obs::Tracer* tr) {
       if (sleepers.load() <= 0) return;
-      const std::size_t avail = queued_estimate(engine) + extra;
+      const std::size_t avail = engine.queued_count();
       const std::size_t wake =
           std::min(avail, static_cast<std::size_t>(sleepers.load()));
       if (wake == 0) return;
@@ -383,17 +291,16 @@ class ThreadExecutor {
       std::fprintf(stderr,
                    "ThreadExecutor stall: no queued work, 0 units in "
                    "flight, engine not done (worker %d, %d threads, "
-                   "batch %d, %zu shards).  Unfinished nodes:\n",
-                   index, threads_, batch_size_, S);
-      if constexpr (requires { engine.debug_dump_unfinished(stderr); })
-        engine.debug_dump_unfinished(stderr);
+                   "batch %d).  Unfinished nodes:\n",
+                   index, threads_, batch_size_);
+      engine.debug_dump_unfinished(stderr);
       failed.store(true);
     };
 
-    // --- single-heap scheduler ---------------------------------------------
+    // --- the worker loop ----------------------------------------------------
     // Flush completions, acquire a batch, compute it, repeat.  All engine
-    // synchronization happens inside the engine; at S == 1 every acquire
-    // takes the one shard lock, reproducing the old one-mutex schedule.
+    // synchronization happens inside the engine: every acquire and every
+    // commit takes its one lock.
     auto worker = [&](int index) {
       SchedulerStats& st = stats[static_cast<std::size_t>(index)];
       obs::Tracer* tr = trace_ == nullptr ? nullptr : &trace_->worker(index);
@@ -422,19 +329,17 @@ class ThreadExecutor {
       int spins = 0;
 
       for (;;) {
-        // --- flush completions (engine combines internally) ---------------
+        // --- flush completions ---------------------------------------------
         if (!done_buf.empty()) {
           if (tr != nullptr) {
             tr->instant(obs::EventKind::kCommitBatch, trace_->now_ns(),
                         obs::kNoTraceNode,
                         static_cast<std::uint32_t>(done_buf.size()));
             const auto f0 = Clock::now();
-            // The peer-applied signal is a stealing-path statistic; the
-            // single-heap path keeps its steal-family counters at zero.
-            (void)commit_all(engine, done_buf);
+            commit_all(engine, done_buf);
             st.commit_hist.record(ns(f0, Clock::now()));
           } else {
-            (void)commit_all(engine, done_buf);
+            commit_all(engine, done_buf);
           }
           st.units += done_buf.size();
           commit_epoch.fetch_add(1);
@@ -479,7 +384,7 @@ class ThreadExecutor {
           tr->instant(obs::EventKind::kAcquireBatch, trace_->now_ns(),
                       node_of(run_buf.front()),
                       static_cast<std::uint32_t>(got));
-        wake_for(0, st, tr);
+        wake_for(st, tr);
 
         // --- parallel section: compute the whole batch, no locks held -----
         for (ItemT& item : run_buf) {
@@ -505,352 +410,25 @@ class ThreadExecutor {
       }
     };
 
-    // --- work-stealing scheduler (sharded heap) ----------------------------
-    // Own local queue first, then bounded random victim probes, then the
-    // engine: each worker refills its local run queue from its home shard
-    // (falling back to a global scan so no shard is orphaned when
-    // threads < shards), computes one unit at a time, and steals from a
-    // random peer's queue when its own runs dry.  A home-shard refill takes
-    // exactly one shard lock, so refills on different shards run
-    // concurrently; commits publish to the flat-combining path, where a
-    // contended commit rides a peer's combine round instead of convoying on
-    // a lock (counted as a flush deferral).
-    //
-    // Homes are topology-aware (runtime/topology.hpp): workers on one NUMA
-    // node draw their home shards from one contiguous group and probe
-    // same-node victims first, so parent-routed refills and back-steals
-    // stay on the node.  Single-node machines get the historical
-    // round-robin `index % S` exactly.
-    WorkerPlacement placement;
-    std::vector<std::vector<int>> node_peers;  // per worker: same-node others
-    if (S > 1) {
-      placement = plan_worker_placement(
-          threads_, S, has_topology_ ? topology_ : CpuTopology::detect());
-      node_peers.resize(static_cast<std::size_t>(threads_));
-      for (int i = 0; i < threads_; ++i)
-        for (int j = 0; j < threads_; ++j)
-          if (j != i && placement.node[static_cast<std::size_t>(j)] ==
-                            placement.node[static_cast<std::size_t>(i)])
-            node_peers[static_cast<std::size_t>(i)].push_back(j);
-    }
-    auto stealing_worker = [&](int index) {
-      SchedulerStats& st = stats[static_cast<std::size_t>(index)];
-      obs::Tracer* tr = trace_ == nullptr ? nullptr : &trace_->worker(index);
-      obs::TraceSession::set_thread_tracer(tr);
-      LocalQueue& mine = *local[static_cast<std::size_t>(index)];
-      const std::size_t home =
-          S > 1 ? placement.home_shard[static_cast<std::size_t>(index)]
-                : static_cast<std::size_t>(index) % S;
-#if defined(__linux__)
-      if (pin_workers_ && S > 1 &&
-          placement.cpu[static_cast<std::size_t>(index)] >= 0) {
-        cpu_set_t set;
-        CPU_ZERO(&set);
-        CPU_SET(static_cast<unsigned>(
-                    placement.cpu[static_cast<std::size_t>(index)]),
-                &set);
-        // Best-effort: a failed pin (cgroup mask, sandbox) just leaves the
-        // worker floating; placement homes are still correct.
-        (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-      }
-#endif
-      const std::vector<int>* peers =
-          S > 1 && !node_peers[static_cast<std::size_t>(index)].empty()
-              ? &node_peers[static_cast<std::size_t>(index)]
-              : nullptr;
-      std::vector<EntryT> done_buf;
-      std::vector<ItemT> refill_buf;
-      done_buf.reserve(k);
-      refill_buf.reserve(k);
-      // Recycled compute-result buffers (see the single-heap worker): the
-      // stealing path harvests from both the in-place commit and the
-      // flat-combining reap, so deferred flushes recycle too.
-      std::vector<ResultT> spare;
-      spare.reserve(kSpareResults);
-      auto take_spare = [&]() -> ResultT {
-        if (spare.empty()) return ResultT{};
-        ResultT r = std::move(spare.back());
-        spare.pop_back();
-        return r;
-      };
-      auto harvest = [&](std::vector<EntryT>& buf) {
-        for (EntryT& e : buf)
-          if (spare.size() < kSpareResults) spare.push_back(std::move(e.result));
-      };
-      std::uint64_t rng =
-          (0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(index + 1)) | 1;
-      int spins = 0;
-
-      // Asynchronous commits: flush applies the completed batch in place
-      // when the combine lock is free (try_commit_batch); when a peer
-      // holds it, the batch is published as a flat-combining record and
-      // the worker keeps computing while the record rides a later drain
-      // round (counted as a flush deferral, the same
-      // keep-working-through-a-contended-commit discipline the try_lock
-      // scheduler had).  The entries and the PendingCommit handle are
-      // referenced by the engine until some combiner applies the record,
-      // so outstanding flushes park in `pending` (heap-stable) and are
-      // reaped once their applied flag flips.  Records can apply out of
-      // publish order (a concurrent drain may snapshot a later record's
-      // shard list first), so reap scans the whole set.
-      struct PendingFlush {
-        std::vector<EntryT> entries;
-        typename EngineT::PendingCommit pc;
-      };
-      std::deque<std::unique_ptr<PendingFlush>> pending;
-      constexpr std::size_t kMaxPendingFlushes = 4;
-
-      auto reap = [&] {
-        for (auto it = pending.begin(); it != pending.end();) {
-          if ((*it)->pc.applied.load(std::memory_order_acquire)) {
-            st.units += (*it)->entries.size();
-            commit_epoch.fetch_add(1);
-            in_flight.fetch_sub(static_cast<int>((*it)->entries.size()));
-            harvest((*it)->entries);
-            it = pending.erase(it);
-          } else {
-            ++it;
-          }
-        }
-      };
-
-      // Blocking backstop: force a combine round until every outstanding
-      // record of ours is applied.  The spin covers the window where a
-      // peer's drain has snapshotted a record but not yet flipped its flag.
-      // Must run before the worker returns — the engine holds pointers
-      // into `pending` until application — and before parking, because a
-      // sleeping publisher's unapplied record would otherwise hold
-      // in_flight above zero with no one left to combine it.
-      auto drain_pending = [&] {
-        while (!pending.empty()) {
-          engine.combine_published();
-          reap();
-          if (!pending.empty()) spin_pause();
-        }
-      };
-
-      auto flush = [&] {
-        if (done_buf.empty()) return;
-        if (tr != nullptr)
-          tr->instant(obs::EventKind::kCommitBatch, trace_->now_ns(),
-                      obs::kNoTraceNode,
-                      static_cast<std::uint32_t>(done_buf.size()));
-        // Traced runs record the in-place commit latency (lock wait +
-        // combine round).  Deferred publishes are excluded: their apply
-        // rides a peer's drain, so there is no local latency to observe —
-        // flush_deferrals already counts them.
-        const auto f0 = tr != nullptr ? Clock::now() : Clock::time_point{};
-        if (engine.try_commit_batch(std::span<EntryT>(done_buf))) {
-          if (tr != nullptr) st.commit_hist.record(ns(f0, Clock::now()));
-          st.units += done_buf.size();
-          commit_epoch.fetch_add(1);
-          in_flight.fetch_sub(static_cast<int>(done_buf.size()));
-          harvest(done_buf);
-          done_buf.clear();
-          reap();  // our drain round may have applied earlier publishes
-          return;
-        }
-        auto pf = std::make_unique<PendingFlush>();
-        pf->entries.swap(done_buf);
-        done_buf.reserve(k);
-        engine.publish_commit(std::span<EntryT>(pf->entries), pf->pc);
-        pending.push_back(std::move(pf));
-        ++st.flush_deferrals;
-        reap();
-        // Bound the outstanding set so a worker that keeps losing the
-        // combine race cannot accumulate unapplied records without limit.
-        if (pending.size() >= kMaxPendingFlushes) drain_pending();
-      };
-
-      // Refill the local run queue: home shard first, global scan second.
-      // Returns the number acquired.
-      auto refill = [&]() -> std::size_t {
-        refill_buf.clear();
-        in_flight.fetch_add(static_cast<int>(k));  // pre-claim
-        std::size_t got = acquire_shard_into(engine, home, k, refill_buf);
-        bool global = false;
-        if (got == 0) {
-          got = acquire_into(engine, k, refill_buf);
-          if (got > 0) {
-            ++st.global_refills;
-            global = true;
-          }
-        }
-        if (got < k) in_flight.fetch_sub(static_cast<int>(k - got));
-        if (got > 0) {
-          if (tr != nullptr)
-            tr->instant(
-                global ? obs::EventKind::kRefillGlobal
-                       : obs::EventKind::kRefillHome,
-                trace_->now_ns(), node_of(refill_buf.front()),
-                static_cast<std::uint32_t>(got),
-                global ? obs::kNoTraceShard : static_cast<std::uint16_t>(home));
-          st.record_batch(got);
-          std::lock_guard<std::mutex> g(mine.mu);
-          for (ItemT& it : refill_buf) mine.items.push_back(std::move(it));
-        }
-        return got;
-      };
-
-      for (;;) {
-        // --- own queue first, then steal ----------------------------------
-        std::optional<ItemT> item;
-        {
-          std::lock_guard<std::mutex> g(mine.mu);
-          if (!mine.items.empty()) {
-            item = std::move(mine.items.front());
-            mine.items.pop_front();
-          }
-        }
-        if (!item && threads_ > 1) {
-          for (int probe = 0; probe < kStealProbes && !item; ++probe) {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            // Topology bias: even probes pick a same-NUMA-node peer (local
-            // steals keep the stolen unit's cache lines on-node); odd probes
-            // stay uniformly random so remote queues still drain when a
-            // whole node runs dry.
-            const int victim =
-                peers != nullptr && probe % 2 == 0
-                    ? (*peers)[static_cast<std::size_t>(
-                          rng % static_cast<std::uint64_t>(peers->size()))]
-                    : static_cast<int>(rng %
-                                       static_cast<std::uint64_t>(threads_));
-            if (victim == index) continue;
-            ++st.steal_attempts;
-            if (tr != nullptr)
-              tr->instant(obs::EventKind::kStealProbe, trace_->now_ns(),
-                          obs::kNoTraceNode,
-                          static_cast<std::uint32_t>(victim));
-            LocalQueue& q = *local[static_cast<std::size_t>(victim)];
-            std::unique_lock<std::mutex> g(q.mu, std::try_to_lock);
-            if (!g.owns_lock() || q.items.empty()) {
-              if (tr != nullptr)
-                tr->instant(obs::EventKind::kStealMiss, trace_->now_ns(),
-                            obs::kNoTraceNode,
-                            static_cast<std::uint32_t>(victim));
-              continue;
-            }
-            item = std::move(q.items.back());
-            q.items.pop_back();
-            ++st.steal_hits;
-            // Steal feedback (DESIGN.md §17): tell engines that rank
-            // speculation by steal pressure which shard just lost a unit
-            // to a thief.  Detected structurally so executors keep working
-            // against engines without the hook.
-            if constexpr (requires { engine.note_steal(std::uint32_t{}); })
-              engine.note_steal(node_of(*item));
-            if (tr != nullptr)
-              tr->instant(obs::EventKind::kStealHit, trace_->now_ns(),
-                          node_of(*item), static_cast<std::uint32_t>(victim));
-          }
-        }
-        if (item) {
-          ResultT result = take_spare();
-          if (tr == nullptr) {
-            compute_item_into(engine, *item, index, tables, result);
-            done_buf.push_back(EntryT{*item, std::move(result)});
-          } else {
-            const auto c0 = Clock::now();
-            compute_item_into(engine, *item, index, tables, result);
-            const auto c1 = Clock::now();
-            const std::uint64_t cns = ns(c0, c1);
-            st.compute_ns += cns;
-            st.compute_hist.record(cns);
-            stamp_compute_ns(result, cns);
-            tr->span(obs::EventKind::kComputeSpan, trace_->to_ns(c0),
-                     trace_->to_ns(c1), node_of(*item));
-            trace_tt(*tr, trace_->to_ns(c1), node_of(*item), result);
-            done_buf.push_back(EntryT{*item, std::move(result)});
-          }
-          if (done_buf.size() >= k) {
-            flush();
-            if (engine.done() || failed.load()) {
-              drain_pending();
-              return broadcast_exit();
-            }
-            wake_for(0, st, tr);
-          }
-          continue;
-        }
-
-        // --- dry: flush what we have, then refill -------------------------
-        flush();
-        if (engine.done() || failed.load()) {
-          drain_pending();
-          return broadcast_exit();
-        }
-        const std::uint64_t epoch = commit_epoch.load();
-        const std::size_t got = refill();
-        if (got == 0) {
-          if (!pending.empty()) {
-            // Applying our outstanding records may create the very work the
-            // refill just missed — drain and retry before giving up.
-            drain_pending();
-            if (engine.done() || failed.load()) return broadcast_exit();
-            continue;
-          }
-          if (engine.done()) return broadcast_exit();
-          if (in_flight.load() == 0) {
-            if (commit_epoch.load() != epoch) continue;  // retry the refill
-            report_stall(index);
-            return broadcast_exit();
-          }
-          if (spins < kDryYieldRounds) {
-            ++spins;
-            std::this_thread::yield();
-            continue;
-          }
-          spins = 0;
-          park(st, tr);
-          continue;
-        }
-        spins = 0;
-        // Wake one sleeper per unit still acquirable plus the surplus just
-        // parked in our own queue (sleepers can steal those).
-        wake_for(got - 1, st, tr);
-      }
-    };
-
     std::vector<std::thread> pool;
     pool.reserve(static_cast<std::size_t>(threads_));
-    for (int i = 0; i < threads_; ++i) {
-      if (S > 1)
-        pool.emplace_back(stealing_worker, i);
-      else
-        pool.emplace_back(worker, i);
-    }
+    for (int i = 0; i < threads_; ++i) pool.emplace_back(worker, i);
     for (auto& t : pool) t.join();
     ERS_CHECK(!failed.load() && "problem-heap engine stalled");
     ERS_CHECK(engine.done());
 
     ThreadRunReport report;
     report.threads = threads_;
-    report.shards = static_cast<int>(S);
     report.elapsed_ns = ns(run_start, Clock::now());
     for (const SchedulerStats& st : stats) report.sched.merge(st);
     report.units = report.sched.units;
-    // Fold the engine's internal lock accounting into the aggregate the
-    // benches read; keep the per-shard and combine breakdowns verbatim.
+    // Fold the engine's lock accounting into the aggregate the benches
+    // read.
     if constexpr (requires { engine.lock_stats(); }) {
       const auto ls = engine.lock_stats();
-      report.sched.lock_acquisitions += ls.total_acquisitions();
-      report.sched.lock_wait_ns += ls.total_wait_ns();
-      report.sched.lock_hold_ns += ls.total_hold_ns();
-      report.shard_lock_acquisitions = ls.shard_acquisitions;
-      report.shard_lock_wait_ns = ls.shard_wait_ns;
-      report.shard_lock_hold_ns = ls.shard_hold_ns;
-      report.combine_batches = ls.combine_batches;
-      report.combine_records = ls.combine_records;
-      report.combine_entries = ls.combine_entries;
-      report.combine_peer_applied = ls.combine_peer_applied;
-      report.combine_wait_ns = ls.combine_wait_ns;
-      report.truncated_records = ls.truncated_records;
-      report.frontier_continuations = ls.frontier_continuations;
-      report.root_publishes = ls.root_publishes;
-      report.root_publish_retries = ls.root_publish_retries;
-      report.root_validate_retries = ls.root_validate_retries;
+      report.sched.lock_acquisitions += ls.acquisitions;
+      report.sched.lock_wait_ns += ls.wait_ns;
+      report.sched.lock_hold_ns += ls.hold_ns;
     }
     if constexpr (requires { engine.stats().search.tt_probes; }) {
       report.tt_probes = engine.stats().search.tt_probes;
@@ -868,29 +446,14 @@ class ThreadExecutor {
   using ItemT = std::decay_t<decltype(*std::declval<EngineT&>().acquire())>;
   using ResultT = decltype(std::declval<EngineT&>().compute(
       std::declval<const ItemT&>()));
-  /// Completion-buffer entry; matches EngineT::CommitEntry where the engine
-  /// has one so the buffer can be handed to commit_batch as-is.
-  struct FallbackEntry {
-    ItemT item;
-    ResultT result;
-  };
-  template <typename E, typename = void>
-  struct EntryFor {
-    using type = FallbackEntry;
-  };
-  template <typename E>
-  struct EntryFor<E, std::void_t<typename E::CommitEntry>> {
-    using type = typename E::CommitEntry;
-  };
-  using EntryT = typename EntryFor<EngineT>::type;
+  /// Completion-buffer entry: the engine's own, so the buffer can be
+  /// handed to commit_batch as-is.
+  using EntryT = typename EngineT::CommitEntry;
 
   /// Yield-retry rounds a dry worker donates its timeslice through before
   /// parking on the condition variable (a futex sleep plus wakeup costs two
   /// syscalls; work is usually released within a commit or two).
   static constexpr int kDryYieldRounds = 16;
-  /// Victim probes per steal round; bounded so a starving worker falls
-  /// through to the (blocking) refill path quickly when all queues are dry.
-  static constexpr int kStealProbes = 4;
   /// Cap on a worker's recycled compute-result pool.  Bounds the warm
   /// capacity a worker retains to a small multiple of its batch size.
   static constexpr std::size_t kSpareResults = 64;
@@ -911,16 +474,6 @@ class ThreadExecutor {
     if constexpr (requires { r.compute_ns; }) r.compute_ns = v;
   }
 
-  static void spin_pause() noexcept {
-    for (int i = 0; i < 64; ++i) {
-#if defined(__x86_64__) || defined(__i386__)
-      __builtin_ia32_pause();
-#else
-      std::this_thread::yield();
-#endif
-    }
-  }
-
   template <typename E>
   static std::size_t acquire_into(E& engine, std::size_t k,
                                   std::vector<ItemT>& out) {
@@ -938,53 +491,15 @@ class ThreadExecutor {
     }
   }
 
-  /// Commit the completion buffer; returns true when the engine reports a
-  /// *peer* combiner applied the batch (flat-combining engines only; false
-  /// for engines whose commit path returns void).
+  /// Commit the completion buffer: one commit_batch call where the engine
+  /// has the batch form, unit by unit otherwise.
   template <typename E>
-  static bool commit_all(E& engine, std::vector<EntryT>& buf) {
+  static void commit_all(E& engine, std::vector<EntryT>& buf) {
     if constexpr (requires { engine.commit_batch(std::span<EntryT>(buf)); }) {
-      using R = decltype(engine.commit_batch(std::span<EntryT>(buf)));
-      if constexpr (std::is_convertible_v<R, bool>) {
-        return engine.commit_batch(std::span<EntryT>(buf));
-      } else {
-        engine.commit_batch(std::span<EntryT>(buf));
-        return false;
-      }
+      engine.commit_batch(std::span<EntryT>(buf));
     } else {
       for (EntryT& e : buf) engine.commit(e.item, std::move(e.result));
-      return false;
     }
-  }
-
-  /// Shards the engine's heap is partitioned into (1 for engines without
-  /// the sharded protocol) — selects the scheduler in run().
-  template <typename E>
-  [[nodiscard]] static std::size_t shard_count_of(const E& engine) {
-    if constexpr (requires { engine.shard_count(); })
-      return engine.shard_count();
-    else
-      return 1;
-  }
-
-  /// Pull up to k items from one shard; engines without the sharded batch
-  /// form fall back to the global acquire (same semantics, no locality).
-  template <typename E>
-  static std::size_t acquire_shard_into(E& engine, std::size_t shard,
-                                        std::size_t k,
-                                        std::vector<ItemT>& out) {
-    if constexpr (requires { engine.acquire_batch_shard(shard, k, out); })
-      return engine.acquire_batch_shard(shard, k, out);
-    else
-      return acquire_into(engine, k, out);
-  }
-
-  template <typename E>
-  static std::size_t queued_estimate(const E& engine) {
-    if constexpr (requires { engine.queued_count(); })
-      return engine.queued_count();
-    else
-      return 1;  // no count available: wake one sleeper at a time
   }
 
   /// Engine node id of a work item, for trace events; kNoTraceNode for
@@ -1058,9 +573,6 @@ class ThreadExecutor {
   int batch_size_ = 1;
   int per_thread_table_log2_ = -1;  ///< < 0: use the engine's configuration
   obs::TraceSession* trace_ = nullptr;  ///< not owned; null = untraced
-  CpuTopology topology_;        ///< placement input when has_topology_
-  bool has_topology_ = false;   ///< false: detect() at run() time
-  bool pin_workers_ = false;    ///< pin each worker to its planned CPU
 };
 
 }  // namespace ers::runtime

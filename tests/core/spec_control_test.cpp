@@ -1,5 +1,5 @@
-// Steal-aware speculation control (DESIGN.md §17) and the shared ordering
-// tables: correctness, determinism, and the concurrency hammers.  Own test
+// Speculation control (DESIGN.md §17) and the shared ordering tables:
+// correctness, determinism, and the concurrency hammers.  Own test
 // binary so the thread-runtime hammers ride the tsan lane (ctest -L tsan)
 // without dragging the serial engine sweeps along.
 
@@ -28,63 +28,6 @@ core::EngineConfig deep_cfg(core::SpecRankPolicy policy) {
   cfg.serial_depth = 3;
   cfg.spec_rank = policy;
   return cfg;
-}
-
-// ---------------------------------------------------------------------------
-// Satellite regression: the global pop order — primary and speculative pops
-// alike — is bit-identical at every shard count when the controller is off.
-// The referee is the same single-threaded protocol drive the node-storage
-// oracle uses: one driver popping the sharded heap in global order, so the
-// sequence has no timing component to hide behind.
-// ---------------------------------------------------------------------------
-
-using EngineT = core::Engine<UniformRandomTree>;
-
-/// Single-threaded protocol drive to completion; returns the pop order.
-/// Batched acquires drain past the primary queue into the speculative one
-/// (a batch of 8 outruns the fresh mandatory work each commit creates), so
-/// the recorded order covers spec pops, not just primary ones.
-std::vector<std::uint32_t> drive(EngineT& engine) {
-  std::vector<std::uint32_t> order;
-  std::vector<core::WorkItem> items;
-  std::vector<EngineT::CommitEntry> batch;
-  while (!engine.done()) {
-    items.clear();
-    batch.clear();
-    if (engine.acquire_batch(8, items) == 0) break;
-    for (const core::WorkItem& item : items) {
-      order.push_back(item.node);
-      batch.push_back({item, engine.compute(item)});
-    }
-    engine.commit_batch(batch);
-  }
-  return order;
-}
-
-TEST(SpecPopOrder, BitIdenticalAcrossShardCounts) {
-  for (const auto policy : {core::SpecRankPolicy::kFewestEChildren,
-                            core::SpecRankPolicy::kStealAware}) {
-    for (std::uint64_t seed = 0; seed < 3; ++seed) {
-      const UniformRandomTree g(5, 7, seed + 27, -1000, 1000);
-      auto cfg = deep_cfg(policy);
-      cfg.search_depth = 7;
-      cfg.serial_depth = 5;
-      cfg.heap_shards = 1;
-      EngineT base(g, cfg);
-      const std::vector<std::uint32_t> base_order = drive(base);
-      ASSERT_GT(base.stats().promotions_speculative, 0u)
-          << "workload popped no speculative entries; the regression below "
-             "would be vacuous";
-      for (const int shards : {2, 4, 8}) {
-        cfg.heap_shards = shards;
-        EngineT e(g, cfg);
-        EXPECT_EQ(drive(e), base_order)
-            << "policy=" << static_cast<int>(policy) << " seed=" << seed
-            << " shards=" << shards;
-        EXPECT_EQ(e.root_value(), base.root_value());
-      }
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -188,13 +131,12 @@ TEST(SpecControl, DemotionsReconcileWithWasteLedger) {
 // Thread-runtime sweeps and hammers (the tsan targets).
 // ---------------------------------------------------------------------------
 
-TEST(SpecControlThreads, SweepThreadsShardsPolicies) {
-  // Determinism-of-result sweep: every (threads, shards, control) point must
-  // report the serial root value — demotion/cancel and the budget gate may
-  // only reschedule work, never lose or duplicate a result.
+TEST(SpecControlThreads, SweepThreadsAndPolicies) {
+  // Determinism-of-result sweep: every (threads, control) point must report
+  // the serial root value — demotion/cancel and the budget gate may only
+  // reschedule work, never lose or duplicate a result.
   core::SpecControlConfig full;
   full.bound_demote = true;
-  full.steal_feedback = true;
   full.budget = true;
   full.budget_max = 2;
   auto points = control_points();
@@ -204,24 +146,20 @@ TEST(SpecControlThreads, SweepThreadsShardsPolicies) {
     const Value oracle = negmax_search(g, 6).value;
     for (const auto& control : points) {
       for (int threads : {2, 8}) {
-        for (int shards : {1, 4}) {
-          auto cfg = deep_cfg(core::SpecRankPolicy::kStealAware);
-          cfg.spec_control = control;
-          const auto r = parallel_er_threads(g, cfg, threads, 1, shards);
-          EXPECT_EQ(r.value, oracle) << "seed=" << seed << " t=" << threads
-                                     << " s=" << shards;
-        }
+        auto cfg = deep_cfg(core::SpecRankPolicy::kStealAware);
+        cfg.spec_control = control;
+        const auto r = parallel_er_threads(g, cfg, threads);
+        EXPECT_EQ(r.value, oracle) << "seed=" << seed << " t=" << threads;
       }
     }
   }
 }
 
 TEST(SpecControlThreads, DemoteCancelHammer) {
-  // Stress the pop-time demotion path and note_steal feedback under real
-  // contention: stealing scheduler (4 shards), tight budget, many repeats.
+  // Stress the pop-time demotion path under real contention: 8 threads, a
+  // tight budget, many repeats.
   core::SpecControlConfig full;
   full.bound_demote = true;
-  full.steal_feedback = true;
   full.budget = true;
   full.budget_max = 1;
   const UniformRandomTree g(5, 6, 7, -500, 500);
@@ -229,7 +167,7 @@ TEST(SpecControlThreads, DemoteCancelHammer) {
   auto cfg = deep_cfg(core::SpecRankPolicy::kStealAware);
   cfg.spec_control = full;
   for (int rep = 0; rep < 8; ++rep) {
-    const auto r = parallel_er_threads(g, cfg, 8, 1, 4);
+    const auto r = parallel_er_threads(g, cfg, 8);
     ASSERT_EQ(r.value, oracle) << "rep=" << rep;
   }
 }

@@ -61,8 +61,7 @@ TEST(WasteLedger, ReconcilesWithTraceOnO2SpeculationWorkload) {
   std::visit(
       [&](const auto& game) {
         const auto r = parallel_er_sim(game, tree.engine, /*processors=*/8,
-                                       /*cost=*/{}, /*queue_shards=*/1,
-                                       /*batch=*/1, &session);
+                                       /*cost=*/{}, /*batch=*/1, &session);
         ASSERT_EQ(session.total_dropped(), 0u)
             << "ring overflow would make the replay a strict subset";
         const obs::TraceReport rep = obs::analyze_trace(session.merged());
@@ -75,21 +74,18 @@ TEST(WasteLedger, ReconcilesWithTraceOnO2SpeculationWorkload) {
       tree.game);
 }
 
-TEST(WasteLedger, ReconcilesAcrossProcessorCountsAndShards) {
+TEST(WasteLedger, ReconcilesAcrossProcessorCounts) {
   if (!obs::kTracingEnabled) GTEST_SKIP() << "tracing compiled out";
   const UniformRandomTree g(4, 5, 123, -100, 100);
   core::EngineConfig cfg;
   cfg.search_depth = 5;
   cfg.serial_depth = 3;
   for (const int p : {2, 8}) {
-    for (const int shards : {1, 4}) {
-      obs::TraceSession session;
-      const auto r =
-          parallel_er_sim(g, cfg, p, {}, shards, /*batch=*/1, &session);
-      ASSERT_EQ(session.total_dropped(), 0u);
-      const obs::TraceReport rep = obs::analyze_trace(session.merged());
-      expect_reconciles(r.waste, rep, /*check_ns=*/true);
-    }
+    obs::TraceSession session;
+    const auto r = parallel_er_sim(g, cfg, p, {}, /*batch=*/1, &session);
+    ASSERT_EQ(session.total_dropped(), 0u);
+    const obs::TraceReport rep = obs::analyze_trace(session.merged());
+    expect_reconciles(r.waste, rep, /*check_ns=*/true);
   }
 }
 
@@ -176,8 +172,7 @@ TEST(WasteLedger, ReconcilesWithSpeculationControlOn) {
   cfg.spec_control.bound_demote = true;
   for (const int p : {8, 16}) {
     obs::TraceSession session;
-    const auto r = parallel_er_sim(g, cfg, p, {}, /*queue_shards=*/2,
-                                   /*batch=*/1, &session);
+    const auto r = parallel_er_sim(g, cfg, p, {}, /*batch=*/1, &session);
     ASSERT_EQ(session.total_dropped(), 0u);
     const obs::TraceReport rep = obs::analyze_trace(session.merged());
     expect_reconciles(r.waste, rep, /*check_ns=*/true);

@@ -119,26 +119,14 @@ TEST(MetricsAdapters, SchedulerStatsFlattensUnderPrefix) {
   s.units = 12;
   s.record_batch(3);
   s.record_batch(9);
-  s.steal_attempts = 5;
-  s.steal_hits = 2;
+  s.sleeps = 3;
   MetricsRegistry reg;
   register_scheduler_stats(reg, s);
   EXPECT_EQ(reg.counter("sched.lock_acquisitions"), 9u);
   EXPECT_EQ(reg.counter("sched.units"), 12u);
   EXPECT_EQ(reg.counter("sched.batches"), 2u);
   EXPECT_EQ(reg.gauge("sched.mean_batch"), 6.0);
-  EXPECT_EQ(reg.counter("sched.steal_misses"), 3u);
-}
-
-TEST(SchedulerStats, StealMissesClampInsteadOfWrapping) {
-  // A partially merged block can transiently carry hits from a worker whose
-  // attempts were not folded in yet; the derived count must not wrap.
-  runtime::SchedulerStats s;
-  s.steal_hits = 4;
-  s.steal_attempts = 1;
-  EXPECT_EQ(s.steal_misses(), 0u);
-  s.steal_attempts = 10;
-  EXPECT_EQ(s.steal_misses(), 6u);
+  EXPECT_EQ(reg.counter("sched.sleeps"), 3u);
 }
 
 TEST(SchedulerStats, MergeFoldsEveryField) {
@@ -149,22 +137,21 @@ TEST(SchedulerStats, MergeFoldsEveryField) {
   b.lock_wait_ns = 7;
   b.compute_ns = 200;
   b.record_batch(1);
-  b.steal_attempts = 3;
-  b.global_refills = 1;
+  b.sleeps = 3;
+  b.wakeups_issued = 1;
   a.merge(b);
   EXPECT_EQ(a.lock_wait_ns, 12u);
   EXPECT_EQ(a.compute_ns, 300u);
   EXPECT_EQ(a.batches, 2u);
   EXPECT_EQ(a.batch_hist.count(), 2u);
   EXPECT_EQ(a.batch_hist.bucket(obs::Histogram::bucket_of(1)), 2u);
-  EXPECT_EQ(a.steal_attempts, 3u);
-  EXPECT_EQ(a.global_refills, 1u);
+  EXPECT_EQ(a.sleeps, 3u);
+  EXPECT_EQ(a.wakeups_issued, 1u);
 }
 
 TEST(MetricsAdapters, ThreadReportIncludesTtAndNestedScheduler) {
   runtime::ThreadRunReport r;
   r.threads = 4;
-  r.shards = 2;
   r.units = 99;
   r.elapsed_ns = 1000;
   r.tt_probes = 10;
@@ -180,18 +167,17 @@ TEST(MetricsAdapters, ThreadReportIncludesTtAndNestedScheduler) {
   EXPECT_EQ(reg.counter("sched.lock_wait_ns"), 400u);
 }
 
-TEST(MetricsAdapters, SimMetricsIncludesPerShardAccesses) {
+TEST(MetricsAdapters, SimMetricsFlattensUnderPrefix) {
   sim::SimMetrics m;
   m.processors = 8;
   m.makespan = 100;
   m.busy_time = 400;
-  m.shard_accesses = {30, 12};
+  m.heap_accesses = 42;
   MetricsRegistry reg;
   register_sim_metrics(reg, m);
   EXPECT_EQ(reg.counter("sim.processors"), 8u);
+  EXPECT_EQ(reg.counter("sim.heap_accesses"), 42u);
   EXPECT_DOUBLE_EQ(reg.gauge("sim.utilization"), 0.5);
-  EXPECT_EQ(reg.counter("sim.shard_accesses.0"), 30u);
-  EXPECT_EQ(reg.counter("sim.shard_accesses.1"), 12u);
 }
 
 // --- the reader itself -----------------------------------------------------

@@ -28,15 +28,14 @@ TEST(ThreadTrace, SpanTotalsAgreeWithRunReport) {
   if (!obs::kTracingEnabled) GTEST_SKIP() << "tracing compiled out";
   const UniformRandomTree g(4, 6, 11, -100, 100);
   const Value oracle = negmax_search(g, 6).value;
-  // 4 threads over 4 heap shards — the stealing scheduler, the richest
-  // event mix.  A generous ring keeps the comparison exact (no drops).
+  // 4 threads at batch 2.  A generous ring keeps the comparison exact (no
+  // drops).
   obs::TraceSession session(0, std::size_t{1} << 20);
   const auto r =
       parallel_er_threads(g, cfg(6, 3), /*threads=*/4, /*batch=*/2,
-                          /*shards=*/4, &session);
+                          /*shards=*/1, &session);
   EXPECT_EQ(r.value, oracle);
   EXPECT_EQ(r.report.threads, 4);
-  EXPECT_EQ(r.report.shards, 4);
   ASSERT_EQ(session.total_dropped(), 0u)
       << "raise the ring capacity: the exact comparison needs a full record";
 
@@ -51,11 +50,8 @@ TEST(ThreadTrace, SpanTotalsAgreeWithRunReport) {
           break;
         case obs::EventKind::kLockWaitSpan: lock_wait += e.dur; break;
         case obs::EventKind::kLockHoldSpan: lock_hold += e.dur; break;
-        // record_batch pairs with kAcquireBatch on the single-heap path and
-        // with the refill instants on the sharded/stealing path.
-        case obs::EventKind::kAcquireBatch:
-        case obs::EventKind::kRefillHome:
-        case obs::EventKind::kRefillGlobal: ++batches; break;
+        // record_batch pairs with kAcquireBatch.
+        case obs::EventKind::kAcquireBatch: ++batches; break;
         case obs::EventKind::kCommitBatch: committed += e.arg; break;
         default: break;
       }
@@ -77,10 +73,16 @@ TEST(ThreadTrace, AnalyzerSeesTheWholeRun) {
   if (!obs::kTracingEnabled) GTEST_SKIP() << "tracing compiled out";
   const UniformRandomTree g(4, 5, 23, -100, 100);
   obs::TraceSession session(0, std::size_t{1} << 20);
-  const auto r = parallel_er_threads(g, cfg(5, 2), 4, 2, 4, &session);
+  const auto r = parallel_er_threads(g, cfg(5, 2), 4, 2, 1, &session);
   ASSERT_EQ(session.total_dropped(), 0u);
   const obs::TraceReport rep = obs::analyze_trace(session.merged());
-  ASSERT_EQ(rep.workers.size(), 4u);
+  // One row per worker up to the highest one that recorded an event: a
+  // worker that found no work before the search ended records none.
+  std::size_t traced = 0;
+  for (int w = 0; w < session.worker_count(); ++w)
+    if (session.worker(w).size() > 0) traced = static_cast<std::size_t>(w) + 1;
+  ASSERT_GE(traced, 1u);
+  ASSERT_EQ(rep.workers.size(), traced);
   std::uint64_t units = 0;
   for (const obs::WorkerTimeline& w : rep.workers) units += w.units;
   EXPECT_EQ(units, r.report.units);

@@ -1,7 +1,6 @@
 // The offline trace analyzer behind tools/trace_report: per-worker
-// timelines, the steal-migration matrix, and the critical path through the
-// unit dependency graph — all on synthetic event streams with known
-// answers.
+// timelines and the critical path through the unit dependency graph — all
+// on synthetic event streams with known answers.
 
 #include "obs/trace_analysis.hpp"
 
@@ -79,26 +78,6 @@ TEST(TraceAnalysis, EngineTrackExcludedFromWorkerTable) {
   EXPECT_EQ(rep.units, 1u);
 }
 
-TEST(TraceAnalysis, StealMatrixAndCounters) {
-  std::vector<TraceEvent> ev;
-  // Keep the worker-count discovery honest: tracks 0..2 exist.
-  for (std::uint16_t w = 0; w < 3; ++w)
-    ev.push_back(span(EventKind::kComputeSpan, 0, 10, w, w + 1));
-  ev.push_back(instant(EventKind::kStealProbe, 1, 2, kNoTraceNode, 0));
-  ev.push_back(instant(EventKind::kStealHit, 2, 2, 9, /*victim=*/0));
-  ev.push_back(instant(EventKind::kStealHit, 3, 2, 10, /*victim=*/0));
-  ev.push_back(instant(EventKind::kStealHit, 4, 1, 11, /*victim=*/0));
-  ev.push_back(instant(EventKind::kStealMiss, 5, 1, kNoTraceNode, 2));
-  const TraceReport rep = analyze_trace(ev);
-  EXPECT_EQ(rep.steal_probes, 1u);
-  EXPECT_EQ(rep.steal_hits, 3u);
-  EXPECT_EQ(rep.steal_misses, 1u);
-  ASSERT_EQ(rep.steal_matrix.size(), 3u);
-  EXPECT_EQ(rep.steal_matrix[2][0], 2u);
-  EXPECT_EQ(rep.steal_matrix[1][0], 1u);
-  EXPECT_EQ(rep.steal_matrix[0][0], 0u);
-}
-
 TEST(TraceAnalysis, CriticalPathThroughCommitGraph) {
   // Dependency graph (kUnitCommit: node, arg = parent):
   //   1 <- 2, 1 <- 3, 2 <- 4; compute durations 10 / 20 / 5 / 7.
@@ -162,12 +141,12 @@ TEST(TraceAnalysis, RenderReportMentionsEverySection) {
   std::vector<TraceEvent> ev;
   ev.push_back(span(EventKind::kComputeSpan, 0, 10, 0, 1));
   ev.push_back(span(EventKind::kComputeSpan, 10, 15, 0, 2));
-  ev.push_back(instant(EventKind::kStealHit, 2, 0, 2, 0));
+  ev.push_back(instant(EventKind::kWakeup, 2, 0, kNoTraceNode, 1));
   const auto eng = TraceSession::kEngineWorker;
   ev.push_back(instant(EventKind::kUnitCommit, 16, eng, 2, 1));
   const std::string text = render_report(analyze_trace(ev));
   EXPECT_NE(text.find("per-worker timeline"), std::string::npos);
-  EXPECT_NE(text.find("steal migration"), std::string::npos);
+  EXPECT_NE(text.find("speculation control"), std::string::npos);
   EXPECT_NE(text.find("scheduling events"), std::string::npos);
   EXPECT_NE(text.find("critical path"), std::string::npos);
   EXPECT_NE(text.find("parallelism bound"), std::string::npos);

@@ -15,8 +15,7 @@ TEST(Tracer, RecordsEventsWithWorkerStamp) {
   if (!kTracingEnabled) GTEST_SKIP() << "tracing compiled out";
   Tracer t(3, 8);
   t.span(EventKind::kComputeSpan, 100, 250, /*node=*/7);
-  t.instant(EventKind::kAcquireBatch, 250, kNoTraceNode, /*arg=*/4,
-            /*shard=*/2);
+  t.instant(EventKind::kAcquireBatch, 250, kNoTraceNode, /*arg=*/4);
   ASSERT_EQ(t.size(), 2u);
   const TraceEvent& s = t.events()[0];
   EXPECT_EQ(s.kind, EventKind::kComputeSpan);
@@ -27,7 +26,6 @@ TEST(Tracer, RecordsEventsWithWorkerStamp) {
   const TraceEvent& i = t.events()[1];
   EXPECT_EQ(i.dur, 0u);
   EXPECT_EQ(i.arg, 4u);
-  EXPECT_EQ(i.shard, 2u);
 }
 
 TEST(Tracer, FullRingDropsAndCounts) {
@@ -112,8 +110,8 @@ TEST(SimTraceDeterminism, SameSeedAndConfigSameEventStream) {
   if (!kTracingEnabled) GTEST_SKIP() << "tracing compiled out";
   const UniformRandomTree g(4, 5, 99, -100, 100);
   TraceSession a, b;
-  const auto ra = parallel_er_sim(g, cfg(5, 3), 4, {}, 2, 2, &a);
-  const auto rb = parallel_er_sim(g, cfg(5, 3), 4, {}, 2, 2, &b);
+  const auto ra = parallel_er_sim(g, cfg(5, 3), 4, {}, 2, &a);
+  const auto rb = parallel_er_sim(g, cfg(5, 3), 4, {}, 2, &b);
   EXPECT_EQ(ra.value, rb.value);
   const auto ea = a.merged();
   const auto eb = b.merged();
@@ -128,8 +126,8 @@ TEST(SimTraceDeterminism, DifferentProcessorCountDifferentSchedule) {
   if (!kTracingEnabled) GTEST_SKIP() << "tracing compiled out";
   const UniformRandomTree g(4, 5, 99, -100, 100);
   TraceSession a, b;
-  (void)parallel_er_sim(g, cfg(5, 3), 2, {}, 1, 1, &a);
-  (void)parallel_er_sim(g, cfg(5, 3), 8, {}, 1, 1, &b);
+  (void)parallel_er_sim(g, cfg(5, 3), 2, {}, 1, &a);
+  (void)parallel_er_sim(g, cfg(5, 3), 8, {}, 1, &b);
   EXPECT_NE(a.merged(), b.merged());
 }
 
@@ -140,7 +138,7 @@ TEST(SimTrace, SpanTotalsMatchSimMetrics) {
   // nothing was dropped.
   const UniformRandomTree g(4, 5, 5, -100, 100);
   TraceSession s(0, std::size_t{1} << 20);
-  const auto r = parallel_er_sim(g, cfg(5, 3), 4, {}, 2, 2, &s);
+  const auto r = parallel_er_sim(g, cfg(5, 3), 4, {}, 2, &s);
   ASSERT_EQ(s.total_dropped(), 0u);
   std::uint64_t lock_wait = 0, idle = 0, commits = 0, acquires = 0;
   for (const TraceEvent& e : s.merged()) {

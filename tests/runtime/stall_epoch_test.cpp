@@ -8,16 +8,13 @@
 //   3. Y reads in_flight == 0 with the engine not done.
 //
 // Step 3 is not a stall — unit 2 is queued — so Y must retry its acquire
-// instead of aborting the run.  Both schedulers are driven: the single-heap
-// loop (one shard) and the work-stealing loop (two shards).  Every scripted
-// wait is bounded, so an executor that takes another path fails the test
-// instead of hanging it.
+// instead of aborting the run.  Every scripted wait is bounded, so an
+// executor that takes another path fails the test instead of hanging it.
 
 #include "runtime/thread_executor.hpp"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
@@ -25,15 +22,13 @@
 #include <deque>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <thread>
-#include <vector>
 
 namespace ers {
 namespace {
 
 /// Two units: committing unit 1 queues unit 2, committing unit 2 finishes
-/// the search.  Implements the executor protocol both schedulers use.
+/// the search.  Implements the single-unit executor protocol.
 class ScriptedEngine {
  public:
   struct Item {
@@ -46,22 +41,14 @@ class ScriptedEngine {
     Item item;
     Result result;
   };
-  struct PendingCommit {
-    std::atomic<bool> applied{false};
-  };
-
-  explicit ScriptedEngine(std::size_t shards) : shards_(shards) {}
-
-  [[nodiscard]] std::size_t shard_count() const { return shards_; }
 
   [[nodiscard]] std::size_t queued_count() const {
     std::scoped_lock lk(mu_);
     return queue_.size();
   }
 
-  /// Global acquire, the only form that carries the scripted miss: while
-  /// unit 1 is in flight, the first acquire that finds nothing queued waits
-  /// for unit 1's commit and then reports the miss it saw before it.
+  /// While unit 1 is in flight, the first acquire that finds nothing queued
+  /// waits for unit 1's commit and then reports the miss it saw before it.
   [[nodiscard]] std::optional<Item> acquire() {
     std::unique_lock lk(mu_);
     note_decision();
@@ -76,17 +63,6 @@ class ScriptedEngine {
     return std::nullopt;
   }
 
-  /// Shard-local acquire (the stealing loop's home refill): never scripted,
-  /// so the global fallback right after it is the acquire that misses.
-  std::size_t acquire_batch_shard(std::size_t /*shard*/, std::size_t /*k*/,
-                                  std::vector<Item>& out) {
-    std::scoped_lock lk(mu_);
-    note_decision();
-    if (queue_.empty()) return 0;
-    out.push_back(pop());
-    return 1;
-  }
-
   [[nodiscard]] Result compute(const Item& item) {
     if (item.unit == 1) {
       // Hold unit 1 until a peer's acquire is inside its scripted miss.
@@ -97,18 +73,6 @@ class ScriptedEngine {
   }
 
   void commit(const Item& item, Result&& /*result*/) { apply(item.unit); }
-
-  bool try_commit_batch(std::span<CommitEntry> batch) {
-    for (const CommitEntry& e : batch) apply(e.item.unit);
-    return true;
-  }
-
-  void publish_commit(std::span<CommitEntry> batch, PendingCommit& pc) {
-    for (const CommitEntry& e : batch) apply(e.item.unit);
-    pc.applied.store(true, std::memory_order_release);
-  }
-
-  void combine_published() {}
 
   /// The committer's first done() after unit 1 runs just after its
   /// in_flight drop: park it there until the missed acquirer decides.  The
@@ -186,7 +150,6 @@ class ScriptedEngine {
     cv_.notify_all();
   }
 
-  const std::size_t shards_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::deque<Item> queue_{Item{1}};
@@ -204,22 +167,13 @@ class ScriptedEngine {
   std::thread::id y_;  ///< took the scripted miss
 };
 
-void run_script(std::size_t shards) {
-  ScriptedEngine engine(shards);
+TEST(ExecutorStall, SingleHeapRetriesAfterPeerCommitDropsInFlight) {
+  ScriptedEngine engine;
   runtime::ThreadExecutor<ScriptedEngine> exec(2);
   const runtime::ThreadRunReport report = exec.run(engine);
   EXPECT_EQ(report.units, 2u);
-  EXPECT_EQ(report.shards, static_cast<int>(shards));
   EXPECT_TRUE(engine.script_completed());
   EXPECT_FALSE(engine.stall_reported());
-}
-
-TEST(ExecutorStall, SingleHeapRetriesAfterPeerCommitDropsInFlight) {
-  run_script(1);
-}
-
-TEST(ExecutorStall, StealingRetriesAfterPeerCommitDropsInFlight) {
-  run_script(2);
 }
 
 }  // namespace

@@ -6,10 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstddef>
-#include <thread>
-#include <vector>
-
 #include "core/parallel_er.hpp"
 #include "othello/game.hpp"
 #include "othello/positions.hpp"
@@ -172,315 +168,6 @@ TEST(ThreadExecutor, RepeatedBatchedRunsAreStableInValue) {
     const auto r = parallel_er_threads(g, cfg(5, 3), 4, 8);
     EXPECT_EQ(r.value, oracle) << "run " << i;
   }
-}
-
-// --- sharded scheduling / work stealing -----------------------------------
-
-TEST(ThreadExecutor, DeterminismSweepShards) {
-  // The sharded work-stealing scheduler must return the alpha-beta root
-  // value at every shards × threads × batch point, under real OS
-  // nondeterminism — the schedule moves, the value must not.
-  for (std::uint64_t seed = 0; seed < 2; ++seed) {
-    const UniformRandomTree g(4, 5, seed + 90, -100, 100);
-    const Value oracle = negmax_search(g, 5).value;
-    for (const int shards : {1, 2, 4, 8}) {
-      for (const int threads : {1, 2, 4, 8}) {
-        for (const int batch : {1, 4}) {
-          const auto r = parallel_er_threads(g, cfg(5, 3), threads, batch,
-                                             shards);
-          EXPECT_EQ(r.value, oracle)
-              << "seed=" << seed << " shards=" << shards
-              << " threads=" << threads << " batch=" << batch;
-        }
-      }
-    }
-  }
-}
-
-TEST(ThreadExecutor, ShardSweepOthelloMidgame) {
-  const othello::OthelloGame g(othello::paper_position(2));
-  const Value oracle = negmax_search(g, 4).value;
-  for (const int shards : {1, 2, 4, 8}) {
-    for (const int threads : {1, 2, 4, 8}) {
-      for (const int batch : {1, 4}) {
-        const auto r =
-            parallel_er_threads(g, cfg(4, 2), threads, batch, shards);
-        EXPECT_EQ(r.value, oracle) << "shards=" << shards
-                                   << " threads=" << threads
-                                   << " batch=" << batch;
-      }
-    }
-  }
-}
-
-TEST(ThreadExecutor, StealCountersCoherent) {
-  const UniformRandomTree g(4, 5, 23, -100, 100);
-  core::EngineConfig c = cfg(5, 3);
-  c.heap_shards = 4;
-  core::Engine<UniformRandomTree> engine(g, c);
-  runtime::ThreadExecutor<core::Engine<UniformRandomTree>> exec(4);
-  exec.with_batch_size(2);
-  const auto report = exec.run(engine);
-  EXPECT_TRUE(engine.done());
-  EXPECT_EQ(report.shards, 4);
-  EXPECT_EQ(report.units, engine.stats().units_processed);
-  const auto& s = report.sched;
-  EXPECT_GE(s.steal_attempts, s.steal_hits);
-  EXPECT_EQ(s.steal_misses(), s.steal_attempts - s.steal_hits);
-  EXPECT_EQ(s.batch_hist.count(), s.batches);
-}
-
-TEST(ThreadExecutor, LegacyPathKeepsStealCountersZero) {
-  // shards == 1 must take the PR 2 single-heap scheduler verbatim: no
-  // steals, no deferrals, no global-refill fallbacks recorded.
-  const UniformRandomTree g(4, 5, 29, -100, 100);
-  core::Engine<UniformRandomTree> engine(g, cfg(5, 3));
-  runtime::ThreadExecutor<core::Engine<UniformRandomTree>> exec(4);
-  exec.with_batch_size(4);
-  const auto report = exec.run(engine);
-  EXPECT_EQ(report.shards, 1);
-  EXPECT_EQ(report.sched.steal_attempts, 0u);
-  EXPECT_EQ(report.sched.steal_hits, 0u);
-  EXPECT_EQ(report.sched.flush_deferrals, 0u);
-  EXPECT_EQ(report.sched.global_refills, 0u);
-}
-
-TEST(ThreadExecutor, MoreShardsThanThreadsCompletes) {
-  // Workers must drain shards nobody calls home (global-refill fallback).
-  const UniformRandomTree g(4, 5, 31, -100, 100);
-  const auto r = parallel_er_threads(g, cfg(5, 3), 2, 2, 8);
-  EXPECT_EQ(r.value, negmax_search(g, 5).value);
-}
-
-TEST(ThreadExecutor, MoreThreadsThanShardsCompletes) {
-  // Several workers share one home shard; stealing spreads the surplus.
-  const UniformRandomTree g(4, 5, 37, -100, 100);
-  const auto r = parallel_er_threads(g, cfg(5, 3), 8, 2, 2);
-  EXPECT_EQ(r.value, negmax_search(g, 5).value);
-}
-
-TEST(ThreadExecutor, ShardedTinyTreeManyThreads) {
-  // More threads than work units on the stealing path: park/wake must not
-  // deadlock when most workers never see a unit.
-  const UniformRandomTree g(2, 2, 3, -10, 10);
-  const auto r = parallel_er_threads(g, cfg(2, 1), 8, 1, 4);
-  EXPECT_EQ(r.value, negmax_search(g, 2).value);
-}
-
-// --- per-shard locking / flat-combining stress ----------------------------
-
-TEST(ThreadExecutor, CrossShardCommitStress) {
-  // Hammer the flat-combining commit path under real concurrency: 8 shards
-  // with 8 threads at the smallest batch sizes maximizes the number of
-  // concurrent publishers whose records back values up ancestor chains
-  // crossing shard boundaries, while the stealing scheduler keeps
-  // shard-local refills and steals racing the combiner's multi-shard apply
-  // rounds.  This is the test a ThreadSanitizer build exists for.
-  const UniformRandomTree g(5, 5, 71, -100, 100);
-  const Value oracle = negmax_search(g, 5).value;
-  for (const int batch : {1, 2}) {
-    for (int rep = 0; rep < 3; ++rep) {
-      const auto r = parallel_er_threads(g, cfg(5, 3), 8, batch, 8);
-      EXPECT_EQ(r.value, oracle) << "batch=" << batch << " rep=" << rep;
-      EXPECT_GT(r.report.combine_records, 0u)
-          << "every commit publishes a combine record";
-      EXPECT_GE(r.report.combine_records,
-                r.report.combine_peer_applied)
-          << "peer-applied records are a subset of all records";
-    }
-  }
-}
-
-TEST(ThreadExecutor, DirectProtocolCrossShardHammer) {
-  // Drive the engine's raw acquire/compute/commit protocol from racing
-  // threads that mix shard-local refills (the stealing path) with global
-  // multi-shard acquires, so combiner drain rounds, shard pops and
-  // whole-heap lock sweeps all run concurrently with no executor policy
-  // smoothing the interleavings.
-  const UniformRandomTree g(4, 5, 73, -100, 100);
-  core::EngineConfig c = cfg(5, 3);
-  c.heap_shards = 8;
-  using EngineT = core::Engine<UniformRandomTree>;
-  EngineT engine(g, c);
-  constexpr int kThreads = 8;
-  std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&engine, t] {
-      std::vector<core::WorkItem> items;
-      std::vector<EngineT::CommitEntry> batch;
-      std::size_t shard = static_cast<std::size_t>(t) % engine.shard_count();
-      while (!engine.done()) {
-        items.clear();
-        batch.clear();
-        std::size_t got = engine.acquire_batch_shard(shard, 2, items);
-        if (got == 0) got = engine.acquire_batch(2, items);
-        if (got == 0) {
-          shard = (shard + 1) % engine.shard_count();
-          std::this_thread::yield();
-          continue;
-        }
-        for (const core::WorkItem& item : items)
-          batch.push_back({item, engine.compute(item)});
-        engine.commit_batch(batch);
-      }
-    });
-  }
-  for (std::thread& w : workers) w.join();
-  ASSERT_TRUE(engine.done());
-  EXPECT_EQ(engine.root_value(), negmax_search(g, 5).value);
-  const core::EngineLockStats ls = engine.lock_stats();
-  EXPECT_GT(ls.combine_records, 0u);
-  EXPECT_GT(ls.combine_batches, 0u)
-      << "records only flow through drain rounds";
-  EXPECT_GE(ls.combine_records, ls.combine_batches)
-      << "every drain round applies at least one record";
-  EXPECT_GT(ls.total_acquisitions(), 0u);
-}
-
-TEST(ThreadExecutor, NearRootRaiseHammer) {
-  // ThreadSanitizer target for the epoch-publication path (DESIGN.md §13):
-  // a *low* publish frontier (2) makes almost every commit a truncated one
-  // whose backup defers at the frontier, so raising the root's value is
-  // nearly always a continuation racing other workers' truncated applies,
-  // lock-free window_of/is_dead validated reads, and publish_node CAS
-  // loops on the same near-root nodes.  Raw protocol drivers — no executor
-  // batching or parking — maximize the interleavings.  The root value must
-  // come out exact every round.
-  const UniformRandomTree g(4, 5, 79, -100, 100);
-  const Value oracle = negmax_search(g, 5).value;
-  for (int rep = 0; rep < 3; ++rep) {
-    core::EngineConfig c = cfg(5, 3);
-    c.heap_shards = 4;
-    c.publish_frontier = 2;
-    c.placement = core::PlacementMode::kSubtreeAffinity;
-    using EngineT = core::Engine<UniformRandomTree>;
-    EngineT engine(g, c);
-    constexpr int kThreads = 4;
-    std::vector<std::thread> workers;
-    workers.reserve(kThreads);
-    for (int t = 0; t < kThreads; ++t) {
-      workers.emplace_back([&engine, t] {
-        std::vector<core::WorkItem> items;
-        std::vector<EngineT::CommitEntry> batch;
-        const auto home = static_cast<std::size_t>(t) % engine.shard_count();
-        while (!engine.done()) {
-          items.clear();
-          batch.clear();
-          if (engine.acquire_batch_shard(home, 1, items) == 0 &&
-              engine.acquire_batch(1, items) == 0) {
-            std::this_thread::yield();
-            continue;
-          }
-          for (const core::WorkItem& item : items)
-            batch.push_back({item, engine.compute(item)});
-          engine.commit_batch(batch);
-        }
-      });
-    }
-    for (std::thread& w : workers) w.join();
-    ASSERT_TRUE(engine.done());
-    EXPECT_EQ(engine.root_value(), oracle) << "rep=" << rep;
-    const core::EngineLockStats ls = engine.lock_stats();
-    EXPECT_GT(ls.truncated_records, 0u)
-        << "a frontier of 2 must truncate most commits";
-    EXPECT_GT(ls.frontier_continuations, 0u)
-        << "backups past the frontier must escalate as continuations";
-    EXPECT_GT(ls.root_publishes, 0u)
-        << "near-root mutations must publish epochs";
-  }
-}
-
-TEST(ThreadExecutor, FrontierDeterminismSweep) {
-  // The executor-level counterpart of EngineFrontier's twin test: at every
-  // shard count and with truncation on, repeated multi-threaded runs must
-  // reproduce the frontier-off root value exactly.
-  const UniformRandomTree g(4, 5, 83, -100, 100);
-  const Value oracle = negmax_search(g, 5).value;
-  for (const int shards : {1, 2, 4, 8}) {
-    for (const int frontier : {0, 4}) {
-      core::EngineConfig c = cfg(5, 3);
-      c.heap_shards = shards;
-      c.publish_frontier = frontier;
-      const auto r = parallel_er_threads(g, c, 4, 1, shards);
-      EXPECT_EQ(r.value, oracle)
-          << "shards=" << shards << " frontier=" << frontier;
-    }
-  }
-}
-
-// --- topology-aware placement (runtime/topology.hpp) -----------------------
-
-TEST(Topology, ParseCpulistHandlesRangesAndSingles) {
-  EXPECT_EQ(runtime::parse_cpulist("0-3,8,10-11"),
-            (std::vector<int>{0, 1, 2, 3, 8, 10, 11}));
-  EXPECT_EQ(runtime::parse_cpulist("5"), (std::vector<int>{5}));
-  EXPECT_EQ(runtime::parse_cpulist("0-2\n"), (std::vector<int>{0, 1, 2}));
-  EXPECT_TRUE(runtime::parse_cpulist("").empty());
-  EXPECT_TRUE(runtime::parse_cpulist("garbage").empty());
-}
-
-TEST(Topology, SingleNodePlanIsHistoricalRoundRobin) {
-  // One node must reproduce `home = worker % shards` exactly — topology
-  // awareness is a refinement, never a behavior change on flat machines.
-  const auto topo = runtime::CpuTopology::uniform(1, 8);
-  const auto plan = runtime::plan_worker_placement(5, 4, topo);
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(plan.home_shard[static_cast<std::size_t>(i)],
-              static_cast<std::size_t>(i) % 4u);
-    EXPECT_EQ(plan.node[static_cast<std::size_t>(i)], 0);
-  }
-}
-
-TEST(Topology, TwoNodePlanKeepsShardGroupsDisjoint) {
-  // 8 workers over 2 nodes × 4 CPUs and 8 shards: each node's workers get
-  // a contiguous half of the shard range, and the halves do not overlap.
-  const auto topo = runtime::CpuTopology::uniform(2, 4);
-  const auto plan = runtime::plan_worker_placement(8, 8, topo);
-  for (int i = 0; i < 8; ++i) {
-    const auto idx = static_cast<std::size_t>(i);
-    EXPECT_EQ(plan.node[idx], i < 4 ? 0 : 1) << "node-major CPU fill";
-    if (i < 4)
-      EXPECT_LT(plan.home_shard[idx], 4u) << "node 0 homes in [0,4)";
-    else
-      EXPECT_GE(plan.home_shard[idx], 4u) << "node 1 homes in [4,8)";
-  }
-}
-
-TEST(Topology, OversubscribedPlansStayValid) {
-  // More nodes than shards, more workers than CPUs: every home must still
-  // land inside [0, shards).
-  for (const auto& [nodes, per_node, threads, shards] :
-       {std::tuple{4, 1, 4, 2}, std::tuple{2, 2, 16, 3},
-        std::tuple{3, 2, 7, 1}}) {
-    const auto topo = runtime::CpuTopology::uniform(
-        static_cast<std::size_t>(nodes), static_cast<std::size_t>(per_node));
-    const auto plan = runtime::plan_worker_placement(
-        threads, static_cast<std::size_t>(shards), topo);
-    for (int i = 0; i < threads; ++i)
-      EXPECT_LT(plan.home_shard[static_cast<std::size_t>(i)],
-                static_cast<std::size_t>(shards))
-          << "nodes=" << nodes << " threads=" << threads
-          << " shards=" << shards;
-  }
-}
-
-TEST(Topology, ExecutorAcceptsExplicitTopologyAndPinning) {
-  // End-to-end: a synthetic 2-node topology through with_topology() (and
-  // best-effort pinning, which may silently fail in a sandbox) must not
-  // change the result.
-  const UniformRandomTree g(4, 5, 87, -100, 100);
-  const Value oracle = negmax_search(g, 5).value;
-  core::EngineConfig c = cfg(5, 3);
-  c.heap_shards = 4;
-  core::Engine<UniformRandomTree> engine(g, c);
-  runtime::ThreadExecutor<core::Engine<UniformRandomTree>> exec(4);
-  exec.with_batch_size(1)
-      .with_topology(runtime::CpuTopology::uniform(2, 2))
-      .with_pin_workers(true);
-  const auto report = exec.run(engine);
-  EXPECT_EQ(engine.root_value(), oracle);
-  EXPECT_GT(report.units, 0u);
 }
 
 }  // namespace

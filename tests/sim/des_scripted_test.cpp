@@ -123,25 +123,6 @@ TEST(DesScripted, QueueOpCostSerializesOnTheLock) {
   EXPECT_GT(with_lock.makespan, without.makespan);
 }
 
-TEST(DesScripted, ShardsRemoveLockSerialization) {
-  auto cost = unit_cost_model();
-  cost.per_heap_acquire = 5;  // brutal lock
-  cost.per_heap_commit = 5;
-  // Wide fan-out of cheap units: lock-bound with one shard.
-  std::vector<std::vector<int>> rel(9);
-  for (int i = 1; i <= 8; ++i) rel[0].push_back(i);
-  ScriptedEngine a(rel, {1, 1, 1, 1, 1, 1, 1, 1, 1}, 8);
-  SimExecutor<ScriptedEngine> one(8, cost, 1);
-  const auto m1 = one.run(a);
-
-  ScriptedEngine b(rel, {1, 1, 1, 1, 1, 1, 1, 1, 1}, 8);
-  SimExecutor<ScriptedEngine> eight(8, cost, 8);
-  const auto m8 = eight.run(b);
-
-  EXPECT_LT(m8.lock_wait_time, m1.lock_wait_time);
-  EXPECT_LE(m8.makespan, m1.makespan);
-}
-
 TEST(DesScripted, EarlyDoneAbandonsInflightWork) {
   // Unit 0 releases a cheap final unit 1 (cost 1) and an expensive unit 2
   // (cost 100).  When 1 commits the engine is done; the executor must not

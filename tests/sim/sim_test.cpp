@@ -97,8 +97,8 @@ TEST(Sim, BatchedScheduleStaysExactAndDeterministic) {
     const UniformRandomTree g(4, 5, seed, -100, 100);
     const auto k1 = parallel_er_sim(g, cfg(5, 3), 8);
     for (const int batch : {2, 4, 8}) {
-      const auto a = parallel_er_sim(g, cfg(5, 3), 8, {}, 1, batch);
-      const auto b = parallel_er_sim(g, cfg(5, 3), 8, {}, 1, batch);
+      const auto a = parallel_er_sim(g, cfg(5, 3), 8, {}, batch);
+      const auto b = parallel_er_sim(g, cfg(5, 3), 8, {}, batch);
       EXPECT_EQ(a.value, k1.value) << "seed=" << seed << " batch=" << batch;
       EXPECT_EQ(a.metrics.makespan, b.metrics.makespan)
           << "batched schedule must stay bit-reproducible";
@@ -110,7 +110,7 @@ TEST(Sim, BatchingReducesHeapAccesses) {
   // The whole point: k units per serialized heap access instead of one.
   const UniformRandomTree g(4, 5, 9, -100, 100);
   const auto k1 = parallel_er_sim(g, cfg(5, 3), 8);
-  const auto k4 = parallel_er_sim(g, cfg(5, 3), 8, {}, 1, 4);
+  const auto k4 = parallel_er_sim(g, cfg(5, 3), 8, {}, 4);
   EXPECT_LT(k4.metrics.heap_accesses, k1.metrics.heap_accesses);
 }
 
@@ -122,70 +122,12 @@ TEST(Sim, BatchingReducesLockWaitUnderContention) {
   pricey.per_heap_commit = 8;
   const UniformRandomTree g(4, 5, 11, -100, 100);
   const auto k1 = parallel_er_sim(g, cfg(5, 4), 16, pricey);
-  const auto k8 = parallel_er_sim(g, cfg(5, 4), 16, pricey, 1, 8);
+  const auto k8 = parallel_er_sim(g, cfg(5, 4), 16, pricey, 8);
   EXPECT_GT(k1.metrics.lock_wait_time, 0u) << "baseline must actually contend";
   EXPECT_LT(static_cast<double>(k8.metrics.lock_wait_time) /
                 static_cast<double>(k8.metrics.makespan * 16),
             static_cast<double>(k1.metrics.lock_wait_time) /
                 static_cast<double>(k1.metrics.makespan * 16));
-}
-
-TEST(Sim, ShardCountNeverChangesResult) {
-  // Sharding moves serialization delays, which at P > 1 feeds back into
-  // *when* processors dispatch and hence which speculative work runs — but
-  // the combine protocol makes the root value schedule-independent, so the
-  // value must hold at every shards × processors × batch point.
-  for (std::uint64_t seed = 0; seed < 3; ++seed) {
-    const UniformRandomTree g(4, 5, seed + 70, -100, 100);
-    for (const int procs : {1, 4, 8}) {
-      for (const int batch : {1, 4}) {
-        const auto base = parallel_er_sim(g, cfg(5, 3), procs, {}, 1, batch);
-        for (const int shards : {2, 4, 8}) {
-          const auto r =
-              parallel_er_sim(g, cfg(5, 3), procs, {}, shards, batch);
-          EXPECT_EQ(r.value, base.value)
-              << "seed=" << seed << " shards=" << shards << " procs=" << procs
-              << " batch=" << batch;
-        }
-      }
-    }
-  }
-}
-
-TEST(Sim, PopOrderIsShardInvariantWithoutTimingFeedback) {
-  // The tentpole invariant, isolated from timing: at P = 1 the sim's
-  // schedule is exactly the engine's global pop order (acquire → compute →
-  // commit, strictly alternating), and the global pop is the maximum over
-  // shard tops under one total-order comparator — so node counts and unit
-  // counts must be bit-identical at every shard count.
-  for (std::uint64_t seed = 0; seed < 3; ++seed) {
-    const UniformRandomTree g(4, 5, seed + 70, -100, 100);
-    for (const int batch : {1, 4}) {
-      const auto base = parallel_er_sim(g, cfg(5, 3), 1, {}, 1, batch);
-      for (const int shards : {2, 4, 8}) {
-        const auto r = parallel_er_sim(g, cfg(5, 3), 1, {}, shards, batch);
-        EXPECT_EQ(r.value, base.value)
-            << "seed=" << seed << " shards=" << shards << " batch=" << batch;
-        EXPECT_EQ(r.engine.search.nodes_generated(),
-                  base.engine.search.nodes_generated())
-            << "sharding must not change which nodes are expanded";
-        EXPECT_EQ(r.engine.units_processed, base.engine.units_processed);
-      }
-    }
-  }
-}
-
-TEST(Sim, RoutedShardAccessesSumToHeapAccesses) {
-  const UniformRandomTree g(4, 5, 13, -100, 100);
-  const auto r = parallel_er_sim(g, cfg(5, 3), 8, {}, 4, 2);
-  ASSERT_EQ(r.metrics.shard_accesses.size(), 4u);
-  std::uint64_t sum = 0;
-  for (const std::uint64_t a : r.metrics.shard_accesses) sum += a;
-  EXPECT_EQ(sum, r.metrics.heap_accesses);
-  // Parent-owner routing puts the root's children on shard 0; every shard
-  // profile starts non-degenerate only when the tree fans out, but shard 0
-  // must always see traffic.
-  EXPECT_GT(r.metrics.shard_accesses[0], 0u);
 }
 
 TEST(Sim, CostModelOfCountsAllComponents) {

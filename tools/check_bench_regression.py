@@ -3,7 +3,7 @@
 committed baseline and fail on a throughput regression.
 
     check_bench_regression.py BASELINE FRESH [--metric units_per_sec]
-                              [--threshold 0.25] [--group shards,threads,batch]
+                              [--threshold 0.25] [--group threads,batch]
                               [--direction min|max]
 
 Both files are either JSON-lines (one flat object per bench row, the schema
@@ -100,7 +100,7 @@ def main():
     ap.add_argument("--metric", default="units_per_sec")
     ap.add_argument("--threshold", type=float, default=0.25,
                     help="fatal fractional drop, e.g. 0.25 = fail below 75%% of baseline")
-    ap.add_argument("--group", default="shards,threads,batch",
+    ap.add_argument("--group", default="threads,batch",
                     help="comma-separated row fields that identify one configuration")
     ap.add_argument("--direction", choices=("min", "max"), default="min",
                     help="min: lower-is-worse (throughput); "

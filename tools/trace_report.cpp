@@ -3,9 +3,9 @@
 //
 //   trace_report <trace.json> [--pid N] [--metrics metrics.json]
 //
-// Prints per-worker busy/starve/lock timelines, the steal-migration
-// matrix, scheduling event counts, and the critical path through the unit
-// dependency graph.  --pid selects one session of a multi-session file
+// Prints per-worker busy/starve/lock timelines, scheduling event counts,
+// the replayed speculation-waste ledger, and the critical path through the
+// unit dependency graph.  --pid selects one session of a multi-session file
 // (e.g. the simulated half of a sim-vs-threads diff trace); the default is
 // the first session in the file.  --metrics points at the consolidated
 // metrics snapshot the same run wrote (bench --metrics F); when given, the
