@@ -4,15 +4,17 @@
 // (DESIGN.md §14).
 //
 // Unlike every other parallel driver in this repo, this one never touches
-// the problem heap: there is no engine, no acquire/commit, no shards.  Each
-// depth iteration spawns `threads` std::threads that all run the same
-// AbdadaSearcher from the same root with the same aspiration window (seeded
-// by the previous depth's value, search/aspiration.hpp); the shared
-// ConcurrentTranspositionTable spreads finished subtrees between them and
-// the NprocTable spreads the workers across siblings.  The first worker to
-// resolve the window claims the depth result and raises a stop flag; the
-// rest unwind and their partial work is discarded (their stores up to the
-// flag remain in the table and are sound).
+// the problem heap: there is no engine, no acquire/commit.  Each depth
+// iteration runs `threads` workers — the calling thread and its persistent
+// helpers (runtime/worker_pool.hpp), the same ones parallel ER uses — that
+// all run the same AbdadaSearcher from the same root with the same
+// aspiration window (seeded by the previous depth's value,
+// search/aspiration.hpp); the shared ConcurrentTranspositionTable spreads
+// finished subtrees between them and the NprocTable spreads the workers
+// across siblings.  The first worker to resolve the window claims the depth
+// result and raises a stop flag; the rest unwind and their partial work is
+// discarded (their stores up to the flag remain in the table and are
+// sound).
 //
 // Thanks to the searcher's depth-exact TT gating, every claimed depth value
 // equals serial alpha-beta at that depth regardless of thread count or
@@ -23,11 +25,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <thread>
 #include <vector>
 
 #include "gametree/game.hpp"
 #include "obs/trace.hpp"
+#include "runtime/worker_pool.hpp"
 #include "search/abdada.hpp"
 #include "search/aspiration.hpp"
 #include "search/concurrent_ttable.hpp"
@@ -128,14 +130,7 @@ template <Game G>
       }
     };
 
-    if (opt.threads == 1) {
-      work(0);
-    } else {
-      std::vector<std::thread> pool;
-      pool.reserve(static_cast<std::size_t>(opt.threads));
-      for (int t = 0; t < opt.threads; ++t) pool.emplace_back(work, t);
-      for (auto& th : pool) th.join();
-    }
+    runtime::run_on_workers(opt.threads, work);
     // Aborts happen only after a claim raised the stop flag, so some worker
     // always claims.
     ERS_CHECK(claimed.load());

@@ -1447,14 +1447,14 @@ class Engine {
   /// id-parallel position arena.  Appends happen under mu_ (or in the
   /// single-threaded constructor); the compute phase reads the slots of
   /// its own in-flight node through pointers captured under mu_, so a slot
-  /// must never move.  A deque would be the natural container, but its
-  /// internal chunk map reallocates on growth; here the chunk-pointer
-  /// table is preallocated and never moves, and slots are constructed in
-  /// place.
+  /// must never move.  A chunk never moves once allocated; the
+  /// chunk-pointer table may reallocate as it grows, which is safe because
+  /// it is indexed only under mu_ or on a single thread.  Slots are
+  /// constructed in place.
   template <typename T>
   class StableArena {
    public:
-    StableArena() : chunks_(kMaxChunks) {}
+    StableArena() = default;
     ~StableArena() {
       const std::size_t n = size_.load(std::memory_order_relaxed);
       for (std::size_t i = 0; i < n; ++i) slot(i)->~T();
@@ -1465,9 +1465,9 @@ class Engine {
     template <typename... Args>
     std::uint32_t emplace(Args&&... args) {
       const std::size_t i = size_.load(std::memory_order_relaxed);
-      const std::size_t c = i >> kChunkShift;
-      ERS_CHECK(c < chunks_.size());
-      if (chunks_[c] == nullptr) chunks_[c] = std::make_unique<Chunk>();
+      ERS_CHECK(i < kNoNode);
+      if ((i & (kChunkSlots - 1)) == 0)
+        chunks_.push_back(std::make_unique<Chunk>());
       ::new (static_cast<void*>(slot(i))) T(std::forward<Args>(args)...);
       size_.store(i + 1, std::memory_order_relaxed);
       return static_cast<std::uint32_t>(i);
@@ -1488,7 +1488,6 @@ class Engine {
    private:
     static constexpr std::size_t kChunkShift = 10;  // 1024 slots per chunk
     static constexpr std::size_t kChunkSlots = std::size_t{1} << kChunkShift;
-    static constexpr std::size_t kMaxChunks = std::size_t{1} << 14;  // 16.7M slots
     struct Chunk {
       alignas(T) std::byte raw[sizeof(T) * kChunkSlots];
     };

@@ -1,7 +1,8 @@
 #pragma once
 // Public entry points for parallel ER search — the library's headline API.
 //
-//   * parallel_er_threads: run on real std::thread workers (shared-memory
+//   * parallel_er_threads: run on OS threads — the calling thread and its
+//     persistent helpers, so no thread is started per call (shared-memory
 //     runtime, the production path).
 //   * parallel_er_sim: run on the deterministic P-processor simulator and
 //     report timing metrics (the experiment path; see DESIGN.md §1).
@@ -54,11 +55,13 @@ struct SimulatedSearchResult {
 };
 
 /// Search `game` to cfg.search_depth with parallel ER on `threads` OS
-/// threads.  The engine synchronizes itself with one mutex (DESIGN.md
-/// §10); compute phases run outside it.  `batch` is the scheduler batch
-/// size: units each worker pulls and commits per engine lock section (1 =
-/// the unbatched scheduler).  The returned value equals serial negmax at
-/// every batch size.
+/// threads: the calling thread runs worker 0 and its persistent helpers
+/// run the rest (runtime/worker_pool.hpp, DESIGN.md §19).  The engine
+/// synchronizes itself with one mutex (DESIGN.md §10); compute phases run
+/// outside it.  `batch` is the scheduler batch size: units each worker
+/// pulls and commits per engine lock section (1 = the unbatched
+/// scheduler).  The returned value equals serial negmax at every batch
+/// size.
 /// `shards` must be 1.  It is left over from the sharded problem heap,
 /// which was removed, and stays only because perfbench/worker.cpp passes
 /// it positionally before `trace`; drop it together with the next change

@@ -5,7 +5,8 @@
 // simulator) owns a fixed-capacity ring of plain-struct TraceEvents and
 // appends to it with no synchronization whatsoever: a Tracer is
 // single-producer by construction, and buffers are only merged after the
-// workers have joined (thread runtime) or on the single simulator thread.
+// workers have returned from the run (thread runtime) or on the single
+// simulator thread.
 // The engine gets one extra tracer of its own, written only under the
 // engine's lock (so by one thread at a time), for the events only the
 // scheduling state machine can see (speculative promotions, pop-time
@@ -273,7 +274,7 @@ class TraceSession {
 
   /// All events — workers' rings then the engine ring — merged and sorted
   /// by (ts, worker, kind) into one stable stream.  Only meaningful after
-  /// the traced run finished (the thread executor has joined its pool).
+  /// the traced run finished (every thread-executor worker has returned).
   [[nodiscard]] std::vector<TraceEvent> merged() const {
     std::vector<TraceEvent> out;
     std::size_t total = engine_tracer_.size();

@@ -1,6 +1,8 @@
 #pragma once
-// Shared-memory runtime: real std::thread workers driving a problem-heap
-// engine (the counterpart of the paper's Sequent implementation).
+// Shared-memory runtime: OS-thread workers driving a problem-heap engine
+// (the counterpart of the paper's Sequent implementation).  Worker 0 is the
+// calling thread; the others are its persistent helpers
+// (runtime/worker_pool.hpp), so a run starts no thread.
 //
 // The engine synchronizes itself (one mutex, taken by every acquire and
 // commit; DESIGN.md §10), so this executor holds no engine-wrapping lock.
@@ -20,8 +22,8 @@
 // notify_all thundering herd), and a starving worker yields a few times
 // before sleeping so it can catch work released a few microseconds later
 // without a futex round trip.  Every worker keeps a SchedulerStats block; the engine's
-// own lock accounting (EngineLockStats) is folded into the aggregate after
-// the join, so contention is measurable, not guessed (bench_scheduler
+// own lock accounting (EngineLockStats) is folded into the aggregate once
+// every worker has returned, so contention is measurable, not guessed (bench_scheduler
 // consumes exactly these counters).
 //
 // Transposition tables: the engine's EngineConfig::shared_table (one
@@ -52,6 +54,7 @@
 #include "core/types.hpp"
 #include "obs/histogram.hpp"
 #include "obs/trace.hpp"
+#include "runtime/worker_pool.hpp"
 #include "search/concurrent_ttable.hpp"
 #include "util/check.hpp"
 
@@ -64,8 +67,8 @@ namespace ers::runtime {
 struct SchedulerStats {
   /// Engine lock sections.  Workers hold no executor-side engine mutex, so
   /// these three stay zero in the per-worker blocks and are populated by
-  /// folding the engine's own EngineLockStats into the aggregate after the
-  /// join (run() does this).
+  /// folding the engine's own EngineLockStats into the aggregate once every
+  /// worker has returned (run() does this).
   std::uint64_t lock_acquisitions = 0;
   std::uint64_t lock_wait_ns = 0;  ///< blocked entering a serialized section
   std::uint64_t lock_hold_ns = 0;  ///< inside a serialized section
@@ -182,7 +185,7 @@ class ThreadExecutor {
   /// (compute spans, batches, sleeps, wakeups) into its own ring,
   /// stamped with steady-clock ns from the session epoch; the engine's lock
   /// wait/hold spans land on the same per-worker rings via the session's
-  /// thread-local tracer, which each worker installs for its lifetime.
+  /// thread-local tracer, which each worker installs for the run.
   /// The session must outlive run(); read it only after run() returns.
   /// Null (the default) keeps the untraced hot path: no clock reads, no
   /// stores.  Trace spans reuse the very timestamps the stats arithmetic
@@ -193,7 +196,9 @@ class ThreadExecutor {
     return *this;
   }
 
-  /// Run the engine to completion on `threads_` workers; blocks until done.
+  /// Run the engine to completion on `threads_` workers, worker 0 on the
+  /// calling thread; blocks until done.  If a worker throws, the others
+  /// stop and the first exception is rethrown here.
   ThreadRunReport run(EngineT& engine) {
     using Clock = std::chrono::steady_clock;
     const auto run_start = Clock::now();
@@ -301,7 +306,7 @@ class ThreadExecutor {
     // Flush completions, acquire a batch, compute it, repeat.  All engine
     // synchronization happens inside the engine: every acquire and every
     // commit takes its one lock.
-    auto worker = [&](int index) {
+    auto work_loop = [&](int index) {
       SchedulerStats& st = stats[static_cast<std::size_t>(index)];
       obs::Tracer* tr = trace_ == nullptr ? nullptr : &trace_->worker(index);
       obs::TraceSession::set_thread_tracer(tr);
@@ -410,10 +415,19 @@ class ThreadExecutor {
       }
     };
 
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(threads_));
-    for (int i = 0; i < threads_; ++i) pool.emplace_back(worker, i);
-    for (auto& t : pool) t.join();
+    // A worker that throws leaves its in-flight units uncommitted, and its
+    // peers would park on them forever: send them home, then let
+    // run_on_workers rethrow in the caller once every worker has returned.
+    auto worker = [&](int index) {
+      try {
+        work_loop(index);
+      } catch (...) {
+        failed.store(true);
+        broadcast_exit();
+        throw;
+      }
+    };
+    run_on_workers(threads_, worker);
     ERS_CHECK(!failed.load() && "problem-heap engine stalled");
     ERS_CHECK(engine.done());
 

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <stdexcept>
+#include <vector>
+
 #include "core/parallel_er.hpp"
 #include "othello/game.hpp"
 #include "othello/positions.hpp"
@@ -159,6 +163,37 @@ TEST(ThreadExecutor, LargeBatchOnTinyTreeStillCompletes) {
   const UniformRandomTree g(2, 3, 3, -10, 10);
   const auto r = parallel_er_threads(g, cfg(3, 1), 8, 64);
   EXPECT_EQ(r.value, negmax_search(g, 3).value);
+}
+
+/// A random tree whose evaluator throws once its budget of evaluations is
+/// spent, on whichever worker gets there.
+struct ThrowingTree {
+  using Position = UniformRandomTree::Position;
+  const UniformRandomTree& tree;
+  mutable std::atomic<int> budget;
+  [[nodiscard]] Position root() const { return tree.root(); }
+  void generate_children(const Position& p, std::vector<Position>& out) const {
+    tree.generate_children(p, out);
+  }
+  [[nodiscard]] Value evaluate(const Position& p) const {
+    if (budget.fetch_sub(1) <= 0) throw std::runtime_error("evaluator failed");
+    return tree.evaluate(p);
+  }
+};
+
+TEST(ThreadExecutor, WorkerExceptionReachesCaller) {
+  // A worker that throws holds units its peers would wait for; the run
+  // must end with the exception in the caller, not park forever, and the
+  // next run on the same helpers must work.
+  const UniformRandomTree g(4, 6, 19, -100, 100);
+  for (const int threads : {4, 1}) {
+    const ThrowingTree bad{g, 200};
+    EXPECT_THROW((void)parallel_er_threads(bad, cfg(6, 2), threads),
+                 std::runtime_error)
+        << "threads=" << threads;
+  }
+  EXPECT_EQ(parallel_er_threads(g, cfg(6, 2), 4).value,
+            negmax_search(g, 6).value);
 }
 
 TEST(ThreadExecutor, RepeatedBatchedRunsAreStableInValue) {
