@@ -108,9 +108,9 @@ BENCHMARK(BM_ParallelErSim)->Arg(1)->Arg(4)->Arg(16);
 
 void BM_EngineCommitContention(benchmark::State& state) {
   // Commit-under-contention: T raw protocol drivers hammer the engine with
-  // batch-1 acquire/compute/commit loops — no executor batching or parking
-  // to smooth the interleavings — so elapsed time is dominated by the
-  // engine's lock sections: the pure synchronization path.
+  // acquire/compute/commit loops — no executor parking to smooth the
+  // interleavings — so elapsed time is dominated by the engine's lock
+  // sections: the pure synchronization path.
   const UniformRandomTree g(4, 6, 17, -1000, 1000);
   core::EngineConfig cfg;
   cfg.search_depth = 6;
@@ -123,18 +123,13 @@ void BM_EngineCommitContention(benchmark::State& state) {
     drivers.reserve(static_cast<std::size_t>(threads));
     for (int t = 0; t < threads; ++t) {
       drivers.emplace_back([&engine] {
-        std::vector<core::WorkItem> items;
-        std::vector<core::Engine<UniformRandomTree>::CommitEntry> batch;
         while (!engine.done()) {
-          items.clear();
-          batch.clear();
-          if (engine.acquire_batch(1, items) == 0) {
+          const auto item = engine.acquire();
+          if (!item) {
             std::this_thread::yield();
             continue;
           }
-          for (const core::WorkItem& item : items)
-            batch.push_back({item, engine.compute(item)});
-          engine.commit_batch(batch);
+          engine.commit(*item, engine.compute(*item));
         }
       });
     }
@@ -169,15 +164,10 @@ void BM_NodeChurn(benchmark::State& state) {
   std::uint64_t peak_bytes = 0;
   for (auto _ : state) {
     core::Engine<UniformRandomTree> engine(g, cfg);
-    std::vector<core::WorkItem> items;
-    std::vector<core::Engine<UniformRandomTree>::CommitEntry> batch;
     while (!engine.done()) {
-      items.clear();
-      batch.clear();
-      if (engine.acquire_batch(8, items) == 0) continue;
-      for (const core::WorkItem& item : items)
-        batch.push_back({item, engine.compute(item)});
-      engine.commit_batch(batch);
+      const auto item = engine.acquire();
+      if (!item) continue;
+      engine.commit(*item, engine.compute(*item));
     }
     const core::EngineMemStats m = engine.mem_stats();
     nodes += m.live_nodes;

@@ -1,22 +1,20 @@
-// Batched problem-heap scheduling on the real thread runtime (the paper's
-// §6 contention bottleneck, attacked the way the MCTS parallelization
-// literature does: batch the shared-structure handoff).
+// The problem-heap scheduler on the real thread runtime (the paper's §6
+// contention bottleneck: every unit takes the heap lock to be acquired and
+// again to be committed).
 //
-// Sweeps scheduler batch size {1, 2, 4, 8} × threads {1, 2, 4, 8} over the
-// Othello midgame suite (O1–O3) and the random trees (R1, R3), measuring
-// with the executor's own SchedulerStats:
+// Sweeps threads {1, 2, 4, 8} over the Othello midgame suite (O1–O3) and
+// the random trees (R1, R3), measuring with the executor's own
+// SchedulerStats:
 //   * units/sec          — scheduler throughput (wall clock, --reps runs)
 //   * lock-wait share    — fraction of worker-time blocked on the heap lock
 //   * locks/unit         — serialized heap entries per unit of work
-//   * mean batch         — batch size the workers actually achieved
 //   * nodes              — total nodes generated (speculative loss control)
 // Correctness bar, checked here on every run: identical root value to
-// serial alpha-beta at every (threads, batch) point.
+// serial alpha-beta at every thread count.
 //
 // Emits BENCH_scheduler.json (schema: bench/reps stamps + one row per
-// configuration).  The headline comparison — mean lock-wait share at 8
-// threads, batch 8 vs batch 1 — is printed at the end and recorded in
-// EXPERIMENTS.md.
+// configuration).  It is also the run the CI trace and telemetry lanes
+// record (--trace, --metrics, --prom-out, --sample-ms).
 
 #include <cstdint>
 #include <memory>
@@ -37,14 +35,13 @@ struct SchedRun {
   double units_per_sec = 0.0;    ///< mean over reps
   double lock_wait_share = 0.0;  ///< mean over reps
   double locks_per_unit = 0.0;
-  double mean_batch = 0.0;
   std::uint64_t wakeups = 0;  ///< mean over reps
   std::uint64_t sleeps = 0;   ///< mean over reps
 };
 
 template <typename G>
 SchedRun run_config(const G& game, const ers::core::EngineConfig& cfg,
-                    int threads, int batch, int reps, ers::Value oracle,
+                    int threads, int reps, ers::Value oracle,
                     ers::obs::TraceSession* trace,
                     ers::obs::MetricsRegistry* reg, int sample_ms,
                     std::unique_ptr<ers::obs::Sampler>* sampler_out) {
@@ -61,7 +58,7 @@ SchedRun run_config(const G& game, const ers::core::EngineConfig& cfg,
     run_cfg.trace = traced ? trace : nullptr;
     core::Engine<G> engine(game, run_cfg);
     runtime::ThreadExecutor<core::Engine<G>> exec(threads);
-    exec.with_batch_size(batch).with_trace(traced ? trace : nullptr);
+    exec.with_trace(traced ? trace : nullptr);
     // Live sampling (--sample-ms): a background thread snapshots the
     // engine's own thread-safe observers while the run executes.  Like the
     // trace, only the last rep is sampled and the sweep's last
@@ -94,7 +91,7 @@ SchedRun run_config(const G& game, const ers::core::EngineConfig& cfg,
     }
     if (traced && reg != nullptr) obs::register_thread_report(*reg, report);
     ERS_CHECK(engine.root_value() == oracle &&
-              "batched scheduler changed the search result");
+              "thread runtime changed the search result");
     sum.value = engine.root_value();
     sum.nodes += engine.stats().search.nodes_generated();
     sum.units += report.units;
@@ -103,7 +100,6 @@ SchedRun run_config(const G& game, const ers::core::EngineConfig& cfg,
                              : static_cast<double>(report.units) * 1e9 /
                                    static_cast<double>(report.elapsed_ns);
     sum.lock_wait_share += report.lock_wait_share();
-    sum.mean_batch += report.sched.mean_batch_size();
     sum.wakeups += report.sched.wakeups_issued;
     sum.sleeps += report.sched.sleeps;
     lock_acqs += report.sched.lock_acquisitions;
@@ -113,7 +109,6 @@ SchedRun run_config(const G& game, const ers::core::EngineConfig& cfg,
   sum.units /= n;
   sum.units_per_sec /= static_cast<double>(reps);
   sum.lock_wait_share /= static_cast<double>(reps);
-  sum.mean_batch /= static_cast<double>(reps);
   sum.wakeups /= n;
   sum.sleeps /= n;
   sum.locks_per_unit = sum.units == 0
@@ -128,7 +123,7 @@ SchedRun run_config(const G& game, const ers::core::EngineConfig& cfg,
 int main(int argc, char** argv) {
   using namespace ers;
   auto opt = bench::parse_options(argc, argv, {"O1", "O2", "O3", "R1", "R3"});
-  bench::print_header("Batched problem-heap scheduling (thread runtime)");
+  bench::print_header("Problem-heap scheduling (thread runtime)");
   std::printf("reps per configuration: %d\n\n", opt.reps);
 
   obs::TraceSession session;
@@ -136,11 +131,9 @@ int main(int argc, char** argv) {
   obs::MetricsRegistry reg;
   reg.set("bench", "scheduler");
   std::unique_ptr<obs::Sampler> sampler;  // last sampled configuration
-  TextTable table({"tree", "threads", "batch", "units/s", "lock share",
-                   "locks/unit", "mean batch", "nodes", "value"});
+  TextTable table({"tree", "threads", "units/s", "lock share", "locks/unit",
+                   "nodes", "value"});
   std::vector<std::string> json;
-  double wait_share_t8_k1 = 0.0, wait_share_t8_k8 = 0.0;
-  int t8_points = 0;
   for (const auto& name : opt.tree_names) {
     const auto base = harness::tree_by_name(name, opt.scale);
     const Value oracle = std::visit(
@@ -151,55 +144,33 @@ int main(int argc, char** argv) {
         },
         base.game);
     for (const int threads : {1, 2, 4, 8}) {
-      for (const int batch : {1, 2, 4, 8}) {
-        const SchedRun r = std::visit(
-            [&](const auto& game) {
-              return run_config(game, base.engine, threads, batch, opt.reps,
-                                oracle, trace, &reg, opt.sample_ms, &sampler);
-            },
-            base.game);
-        reg.set("tree", base.name);
-        reg.set("run.batch", batch);
-        if (threads == 8 && batch == 1) {
-          wait_share_t8_k1 += r.lock_wait_share;
-          ++t8_points;
-        }
-        if (threads == 8 && batch == 8) wait_share_t8_k8 += r.lock_wait_share;
-        table.add_row({base.name, std::to_string(threads),
-                       std::to_string(batch),
-                       TextTable::num(r.units_per_sec, 0),
-                       TextTable::num(r.lock_wait_share, 4),
-                       TextTable::num(r.locks_per_unit, 3),
-                       TextTable::num(r.mean_batch, 2),
-                       std::to_string(r.nodes), std::to_string(r.value)});
-        json.push_back(bench::JsonObject()
-                           .field("tree", base.name)
-                           .field("threads", threads)
-                           .field("batch", batch)
-                           .field("units", r.units)
-                           .field("units_per_sec", r.units_per_sec)
-                           .field("lock_wait_share", r.lock_wait_share)
-                           .field("locks_per_unit", r.locks_per_unit)
-                           .field("mean_batch", r.mean_batch)
-                           .field("wakeups", r.wakeups)
-                           .field("sleeps", r.sleeps)
-                           .field("nodes", r.nodes)
-                           .field("value", static_cast<int>(r.value))
-                           .str());
-      }
+      const SchedRun r = std::visit(
+          [&](const auto& game) {
+            return run_config(game, base.engine, threads, opt.reps, oracle,
+                              trace, &reg, opt.sample_ms, &sampler);
+          },
+          base.game);
+      reg.set("tree", base.name);
+      table.add_row({base.name, std::to_string(threads),
+                     TextTable::num(r.units_per_sec, 0),
+                     TextTable::num(r.lock_wait_share, 4),
+                     TextTable::num(r.locks_per_unit, 3),
+                     std::to_string(r.nodes), std::to_string(r.value)});
+      json.push_back(bench::JsonObject()
+                         .field("tree", base.name)
+                         .field("threads", threads)
+                         .field("units", r.units)
+                         .field("units_per_sec", r.units_per_sec)
+                         .field("lock_wait_share", r.lock_wait_share)
+                         .field("locks_per_unit", r.locks_per_unit)
+                         .field("wakeups", r.wakeups)
+                         .field("sleeps", r.sleeps)
+                         .field("nodes", r.nodes)
+                         .field("value", static_cast<int>(r.value))
+                         .str());
     }
   }
   table.print();
-  if (t8_points > 0) {
-    wait_share_t8_k1 /= t8_points;
-    wait_share_t8_k8 /= t8_points;
-    std::printf(
-        "\nmean lock-wait share at 8 threads: batch1=%.4f batch8=%.4f (%s)\n",
-        wait_share_t8_k1, wait_share_t8_k8,
-        wait_share_t8_k8 < wait_share_t8_k1
-            ? "batching reduces contention"
-            : "NO REDUCTION");
-  }
   bench::write_bench_json("scheduler", opt.reps, json, opt.json_out);
   bench::write_observability(opt, trace, reg, "scheduler");
   if (sampler != nullptr) sampler->write_json(opt.sample_sink());

@@ -3,19 +3,15 @@
 // naive ordering.  In order to reduce speculative loss and improve
 // efficiency a better mechanism for globally ranking speculative work must
 // be found."  This bench compares the paper's ranking against a
-// bound-driven ranking, a FIFO control, and the steal-aware controller
-// (DESIGN.md §17): bound-distance ranking plus pop-time demotion and the
-// waste-budget cap, with and without the shared ordering tables attached.
+// bound-driven ranking and a FIFO control, and measures the paper's ranking
+// again with the shared move-ordering tables attached (DESIGN.md §17).
 //
 // Per (tree, policy, procs) row:
 //   * nodes / node_ratio — total nodes generated, and the ratio to the
 //     serial ER node count for the same tree (the paper's search-overhead
 //     measure; 1.0 = no duplicated work)
 //   * waste_share        — speculative waste units (bound-change +
-//     sibling-resolution cancellations) over all units processed; the same
-//     quantity the §17 budget controller steers toward its target
-//   * demote/rewind/defer — §17 controller activity (zero for the three
-//     static policies)
+//     sibling-resolution cancellations) over all units processed
 //   * speedup            — serial best cost over simulated makespan
 // Correctness bar on every run: root value equals serial alpha-beta.
 //
@@ -39,32 +35,21 @@ int main(int argc, char** argv) {
   const auto opt =
       bench::parse_options(argc, argv, {"O1", "O2", "O3", "R1", "R3"});
   bench::print_header(
-      "Speculation ranking & control policies (§8 future work, DESIGN.md "
-      "§17)");
+      "Speculation ranking policies (§8 future work, DESIGN.md §17)");
 
-  // The two steal-aware rows exercise the §17 controller (the rank keeps
-  // its historical name; its labels key BENCH_spec_policy.json).
-  core::SpecControlConfig demote_only;
-  demote_only.bound_demote = true;
-  core::SpecControlConfig demote_budget;
-  demote_budget.bound_demote = true;
-  demote_budget.budget = true;
-  // The last row is the full §17 + ordering stack: steal-aware controller
-  // plus the shared ordering intelligence — history/killer tables AND the
-  // shared transposition table whose stored best-move fingerprints drive
-  // TT-move-first child sorting (the hint path is dead without a table).
+  // The last row is the paper's ranking plus the shared ordering
+  // intelligence — history/killer tables AND the shared transposition
+  // table whose stored best-move fingerprints drive TT-move-first child
+  // sorting (the hint path is dead without a table).
   const struct {
     core::SpecRankPolicy policy;
-    core::SpecControlConfig control;
     bool ordering_tables;
     const char* name;
   } kPolicies[] = {
-      {core::SpecRankPolicy::kFewestEChildren, {}, false, "paper"},
-      {core::SpecRankPolicy::kBestBound, {}, false, "best-bound"},
-      {core::SpecRankPolicy::kFifo, {}, false, "fifo"},
-      {core::SpecRankPolicy::kStealAware, demote_only, false, "steal-aware"},
-      {core::SpecRankPolicy::kStealAware, demote_budget, true,
-       "steal-aware+order"},
+      {core::SpecRankPolicy::kFewestEChildren, false, "paper"},
+      {core::SpecRankPolicy::kBestBound, false, "best-bound"},
+      {core::SpecRankPolicy::kFifo, false, "fifo"},
+      {core::SpecRankPolicy::kFewestEChildren, true, "paper+order"},
   };
 
   obs::TraceSession session;
@@ -72,8 +57,7 @@ int main(int argc, char** argv) {
   obs::MetricsRegistry reg;
   reg.set("bench", "spec_policy");
   TextTable table({"tree", "procs", "policy", "nodes", "node ratio",
-                   "waste share", "demote", "rewind", "defer", "speedup",
-                   "value"});
+                   "waste share", "speedup", "value"});
   std::vector<std::string> json;
   for (const auto& name : opt.tree_names) {
     const auto tree = harness::tree_by_name(name, opt.scale);
@@ -83,7 +67,6 @@ int main(int argc, char** argv) {
       for (const auto& pc : kPolicies) {
         auto cfg = tree.engine;
         cfg.spec_rank = pc.policy;
-        cfg.spec_control = pc.control;
         // Fresh tables per run: the single-driver simulator trains them
         // deterministically, so rows are reproducible bit-for-bit.
         OrderingTables tables;
@@ -95,7 +78,7 @@ int main(int argc, char** argv) {
         if (trace != nullptr) trace->clear();  // keep the last point only
         const auto [value, engine_stats, metrics, waste] = std::visit(
             [&](const auto& game) {
-              auto r = parallel_er_sim(game, cfg, p, {}, 1, trace);
+              auto r = parallel_er_sim(game, cfg, p, {}, trace);
               return std::tuple{r.value, r.engine, r.metrics, r.waste};
             },
             tree.game);
@@ -122,9 +105,6 @@ int main(int argc, char** argv) {
         table.add_row({tree.name, std::to_string(p), pc.name,
                        std::to_string(nodes), TextTable::num(node_ratio, 3),
                        TextTable::num(waste_share, 3),
-                       std::to_string(engine_stats.spec_demotions),
-                       std::to_string(engine_stats.spec_rewindows),
-                       std::to_string(engine_stats.spec_budget_deferrals),
                        TextTable::num(speedup, 2), std::to_string(value)});
         json.push_back(bench::JsonObject()
                            .field("tree", tree.name)
@@ -135,10 +115,6 @@ int main(int argc, char** argv) {
                            .field("waste_share", waste_share)
                            .field("spec_promotions",
                                   engine_stats.promotions_speculative)
-                           .field("demotions", engine_stats.spec_demotions)
-                           .field("rewindows", engine_stats.spec_rewindows)
-                           .field("budget_deferrals",
-                                  engine_stats.spec_budget_deferrals)
                            .field("speedup", speedup)
                            .field("value", static_cast<int>(value))
                            .str());

@@ -39,16 +39,9 @@
 // reclaimer's !in_flight guard keeps safe; commit_one releases the record
 // of a unit whose node died in flight once the unit lands.
 //
-// The batch protocol forms — the contention remedy of the paper's §6
-// observation that heap serialization erodes efficiency as processors are
-// added:
-//
-//     acquire_batch(k, out)         pop up to k ready units in one lock
-//                                   section
-//     commit_batch(span)            apply the results in one lock section,
-//                                   back to back, so a batch commit is
-//                                   exactly a sequence of single commits in
-//                                   batch order
+// acquire() and commit() are one lock section each, so a unit costs two, in
+// the paper's order: the acquire that pops it and the commit that applies
+// its result.
 //
 // Work classification follows the paper exactly:
 //   * nodes at ply >= serial_depth are leaves of the *parallel* tree and are
@@ -122,12 +115,6 @@ class Engine {
     make_node(game_.root(), kNoNode, 0, NodeType::kENode, 0);
     push_primary(0);
   }
-
-  /// One unit of a batched commit: the acquired item and its compute result.
-  struct CommitEntry {
-    WorkItem item;
-    ComputeResult result;
-  };
 
  private:
   struct PrimaryEntry {
@@ -233,41 +220,28 @@ class Engine {
  public:
   // --- executor protocol -------------------------------------------------
 
+  /// Pop the next ready unit in one lock section; empty when nothing is
+  /// runnable right now.
   [[nodiscard]] std::optional<WorkItem> acquire() {
-    WorkItem buf;
-    return acquire_fill(std::span<WorkItem>(&buf, 1)) == 1
-               ? std::optional<WorkItem>(buf)
-               : std::nullopt;
-  }
-
-  /// Batch form of acquire(): pop up to `k` ready units in one lock
-  /// section, appending them to `out`.  Returns the number acquired.
-  std::size_t acquire_batch(std::size_t k, std::vector<WorkItem>& out) {
-    const std::size_t base = out.size();
-    out.resize(base + k);
-    const std::size_t got =
-        acquire_fill(std::span<WorkItem>(out).subspan(base));
-    out.resize(base + got);
-    return got;
-  }
-
-  void commit(const WorkItem& item, ComputeResult&& r) {
-    CommitEntry e{item, std::move(r)};
-    commit_batch(std::span<CommitEntry>(&e, 1));
-  }
-
-  /// Batch form of commit(): apply the results in one lock section.
-  /// Application is exactly a sequence of single commits executed back to
-  /// back in batch order; the combine procedure only requires commits to be
-  /// serialized, never that they interleave at any particular granularity,
-  /// so batching changes the schedule but not the result (the root value
-  /// is schedule-independent).  Entries are consumed (results moved from).
-  void commit_batch(std::span<CommitEntry> batch) {
-    if (batch.empty()) return;
     const auto t0 = Clock::now();
     std::unique_lock lk(mu_);
     const auto t1 = Clock::now();
-    for (CommitEntry& e : batch) commit_one(e.item, std::move(e.result));
+    const std::optional<WorkItem> item = pop_ready();
+    const auto t2 = Clock::now();
+    count_lock_section(t0, t1, t2);
+    lk.unlock();
+    trace_lock_section(t0, t1, t2);
+    return item;
+  }
+
+  /// Apply one unit's result in one lock section.  The result is only read
+  /// (child positions are copied into the node's cold record), so a caller
+  /// may reuse its buffers for the next unit.
+  void commit(const WorkItem& item, const ComputeResult& r) {
+    const auto t0 = Clock::now();
+    std::unique_lock lk(mu_);
+    const auto t1 = Clock::now();
+    commit_one(item, r);
     const auto t2 = Clock::now();
     count_lock_section(t0, t1, t2);
     lk.unlock();
@@ -286,27 +260,12 @@ class Engine {
   }
 
  private:
-  /// Acquire driver: one lock section that pops until `out` is full or the
-  /// queues are drained.
-  std::size_t acquire_fill(std::span<WorkItem> out) {
-    const auto t0 = Clock::now();
-    std::unique_lock lk(mu_);
-    const auto t1 = Clock::now();
-    const std::size_t got = pop_ready(out);
-    const auto t2 = Clock::now();
-    count_lock_section(t0, t1, t2);
-    lk.unlock();
-    trace_lock_section(t0, t1, t2);
-    return got;
-  }
-
   /// The popping pass (requires mu_): primary entries first, then
   /// speculative ones.  Stale and dead entries are dropped, and pop-time
   /// cutoffs are finished on the spot — their combine may queue new work,
   /// which the same pass then pops.
-  std::size_t pop_ready(std::span<WorkItem> out) {
-    std::size_t got = 0;
-    while (got < out.size() && !primary_.empty()) {
+  std::optional<WorkItem> pop_ready() {
+    while (!primary_.empty()) {
       const PrimaryEntry e = primary_.top();
       primary_.pop();
       Node& n = nodes_[e.node];
@@ -332,16 +291,15 @@ class Engine {
           continue;
         }
         n.in_flight = true;
-        out[got++] = WorkItem{e.node,  serial_kind(n), w, n.value, n.type, &n,
-                              &positions_[e.node]};
-        continue;
+        return WorkItem{e.node,  serial_kind(n), w, n.value, n.type, &n,
+                        &positions_[e.node]};
       }
       n.in_flight = true;
-      out[got++] = WorkItem{e.node,  WorkKind::kExpand, full_window(),
-                            -kValueInf, n.type,          &n,
-                            &positions_[e.node]};
+      return WorkItem{e.node,     WorkKind::kExpand, full_window(),
+                      -kValueInf, n.type,            &n,
+                      &positions_[e.node]};
     }
-    while (got < out.size() && !spec_.empty() && !spec_over_budget()) {
+    while (!spec_.empty()) {
       const SpecEntry e = spec_.top();
       spec_.pop();
       Node& n = nodes_[e.node];
@@ -355,39 +313,11 @@ class Engine {
         continue;
       }
       if (!spec_eligible(e.node)) continue;
-      // Bound-driven demotion (DESIGN.md §17): re-rank the entry against
-      // the *current* bounds before spending a promotion on it.  A
-      // strictly decayed rank goes back through push_spec — whose
-      // spec_seq bump lazily invalidates any other queued copy — and is
-      // classified for the waste ledger as a re-window (the window moved
-      // past the candidate entirely) or a plain demotion.  Strict decay
-      // bounds the re-pushes: an entry whose rank is stable, however poor,
-      // is promoted rather than spun.
-      if (cfg_.spec_control.bound_demote) {
-        const auto [k1, k2] = spec_keys_for(e.node);
-        if (k1 > e.key1) {
-          const std::uint32_t cand = best_promotion_candidate(n);
-          const bool closed =
-              cand == kNoNode ||
-              negate(nodes_[cand].value) <= window_of(e.node).alpha;
-          const WasteCause cause = closed ? WasteCause::kSpecRewindowed
-                                          : WasteCause::kSpecDemoted;
-          waste_.cancels[static_cast<std::size_t>(cause)][waste_band_of(
-              static_cast<std::uint32_t>(n.ply))] += 1;
-          ++(closed ? stats_.spec_rewindows : stats_.spec_demotions);
-          trace_instant(closed ? obs::EventKind::kSpecRewindow
-                               : obs::EventKind::kSpecDemote,
-                        e.node, /*arg=*/0);
-          push_spec(e.node);
-          continue;
-        }
-      }
-      ++spec_inflight_;
-      out[got++] = WorkItem{e.node,  WorkKind::kPromote, full_window(),
-                            -kValueInf, n.type,           &n,
-                            &positions_[e.node]};
+      return WorkItem{e.node,     WorkKind::kPromote, full_window(),
+                      -kValueInf, n.type,             &n,
+                      &positions_[e.node]};
     }
-    return got;
+    return std::nullopt;
   }
 
   /// A queue entry whose node finished or died before it was popped
@@ -412,40 +342,6 @@ class Engine {
     ++stats_.cutoffs_at_pop;
     if (traced) trace_instant(obs::EventKind::kSpecCancel, id, /*arg=*/1);
     finish_and_combine(id, WasteCause::kBoundChange);
-  }
-
-  /// True when the speculation budget bars promotions right now (counts
-  /// the deferral).  Always false with the budget policy off.
-  [[nodiscard]] bool spec_over_budget() {
-    if (!cfg_.spec_control.budget || spec_inflight_ < spec_budget())
-      return false;
-    ++stats_.spec_budget_deferrals;
-    return true;
-  }
-
-  /// Cap on live speculative promotions (SpecControlConfig::budget), from
-  /// the waste ledger's running speculative-loss share — the fraction of
-  /// committed units that landed in subtrees later killed by bound changes
-  /// or sibling resolutions.  budget_max while the share is at or under
-  /// waste_target, shrinking proportionally (never below budget_min) as it
-  /// overshoots.
-  [[nodiscard]] std::uint32_t spec_budget() const {
-    std::uint64_t spec_units = 0;
-    for (std::size_t b = 0; b < kWastePlyBands; ++b)
-      spec_units +=
-          waste_.units[static_cast<std::size_t>(WasteCause::kBoundChange)][b] +
-          waste_.units[static_cast<std::size_t>(
-              WasteCause::kSiblingResolution)][b];
-    const std::uint64_t total = stats_.units_processed;
-    if (total < 64) return static_cast<std::uint32_t>(cfg_.spec_control.budget_max);
-    const double share =
-        static_cast<double>(spec_units) / static_cast<double>(total);
-    if (share <= cfg_.spec_control.waste_target)
-      return static_cast<std::uint32_t>(cfg_.spec_control.budget_max);
-    const double scaled = cfg_.spec_control.budget_max *
-                          cfg_.spec_control.waste_target / share;
-    return static_cast<std::uint32_t>(std::max(
-        static_cast<double>(cfg_.spec_control.budget_min), scaled));
   }
 
  public:
@@ -709,7 +605,7 @@ class Engine {
 
   // --- commit application (mu_ held) ---------------------------------------
 
-  void commit_one(const WorkItem& item, ComputeResult&& r) {
+  void commit_one(const WorkItem& item, const ComputeResult& r) {
     Node& n = nodes_[item.node];
     n.in_flight = false;
     stats_.search += r.stats;
@@ -742,9 +638,6 @@ class Engine {
                  r.compute_ns);
     switch (item.kind) {
       case WorkKind::kPromote:
-        // Pairs with the increment at emission: every acquired kPromote is
-        // committed exactly once, even when the state moved on meanwhile.
-        --spec_inflight_;
         commit_promotion(item.node);
         break;
       case WorkKind::kSerialFull:
@@ -755,10 +648,10 @@ class Engine {
         finish_and_combine(item.node, WasteCause::kSiblingResolution);
         break;
       case WorkKind::kSerialEvalFirst:
-        commit_eval_first(item.node, std::move(r));
+        commit_eval_first(item.node, r);
         break;
       case WorkKind::kExpand:
-        commit_expand(item.node, std::move(r));
+        commit_expand(item.node, r);
         break;
     }
     // A node that finished or died while this unit was in flight kept its
@@ -783,29 +676,6 @@ class Engine {
       }
       case SpecRankPolicy::kFifo:
         return {0, 0};
-      case SpecRankPolicy::kStealAware: {
-        // Composite rank (DESIGN.md §17).  Primary: how much headroom the
-        // best promotion candidate still has above the node's live alpha —
-        // a candidate whose tentative promise the sibling bounds have
-        // already overtaken is almost certainly wasted speculation, so it
-        // ranks late; a candidate with room to raise the parent ranks
-        // early.  Tiebreaks keep the paper's own heuristic (fewest
-        // e-children, then shallower ply).
-        const std::uint32_t c = best_promotion_candidate(n);
-        constexpr std::int64_t kDistCap = 0xffff;
-        std::int64_t closeness = kDistCap;  // no candidate: rank last
-        if (c != kNoNode) {
-          const Window w = window_of(id);
-          const std::int64_t headroom =
-              static_cast<std::int64_t>(negate(nodes_[c].value)) -
-              static_cast<std::int64_t>(w.alpha);
-          closeness =
-              kDistCap - std::clamp<std::int64_t>(headroom, 0, kDistCap);
-        }
-        return {closeness << 16,
-                (static_cast<std::int64_t>(n.e_children()) << 8) +
-                    std::min<std::int64_t>(n.ply, 255)};
-      }
     }
     return {0, 0};
   }
@@ -919,7 +789,7 @@ class Engine {
   /// and the frozen child order; the node either resolves immediately (done
   /// or cut off against the parent's current bound) or goes dormant awaiting
   /// promotion/re-typing, feeding the parent's elder-grandchild accounting.
-  void commit_eval_first(std::uint32_t id, ComputeResult&& r) {
+  void commit_eval_first(std::uint32_t id, const ComputeResult& r) {
     Node& n = nodes_[id];
     ++stats_.serial_units;
     n.value = std::max<Value>(n.value, r.value);
@@ -947,7 +817,7 @@ class Engine {
 
   // --- Table 1: expansion -------------------------------------------------
 
-  void commit_expand(std::uint32_t id, ComputeResult&& r) {
+  void commit_expand(std::uint32_t id, const ComputeResult& r) {
     Node& n = nodes_[id];
     if (r.positions_computed) {
       if (r.is_leaf) {
@@ -1553,7 +1423,7 @@ class Engine {
   /// Freeze `kids` as `id`'s child order in a fresh cold record.  The
   /// positions are *copied* — the compute buffer keeps its capacity and is
   /// recycled by the executor (compute_into).
-  void attach_cold(std::uint32_t id, std::vector<Position>& kids) {
+  void attach_cold(std::uint32_t id, const std::vector<Position>& kids) {
     Node& n = nodes_[id];
     ERS_DCHECK(n.cold == nullptr);
     ColdRecord* c = alloc_cold(kids.size());
@@ -1688,9 +1558,6 @@ class Engine {
   std::vector<std::uint64_t> sub_units_;
   std::vector<std::uint64_t> sub_ns_;
   std::vector<std::uint8_t> waste_state_;
-  /// Speculative promotions acquired and not yet committed
-  /// (SpecControlConfig::budget caps it).
-  std::uint32_t spec_inflight_ = 0;
   /// Counted lock sections (acquires and commits).
   std::uint64_t lock_acquisitions_ = 0;
   std::uint64_t lock_wait_ns_ = 0;

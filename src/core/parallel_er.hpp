@@ -58,14 +58,12 @@ struct SimulatedSearchResult {
 /// threads: the calling thread runs worker 0 and its persistent helpers
 /// run the rest (runtime/worker_pool.hpp, DESIGN.md §19).  The engine
 /// synchronizes itself with one mutex (DESIGN.md §10); compute phases run
-/// outside it.  `batch` is the scheduler batch size: units each worker
-/// pulls and commits per engine lock section (1 = the unbatched
-/// scheduler).  The returned value equals serial negmax at every batch
-/// size.
-/// `shards` must be 1.  It is left over from the sharded problem heap,
-/// which was removed, and stays only because perfbench/worker.cpp passes
-/// it positionally before `trace`; drop it together with the next change
-/// to perfbench.
+/// outside it, and each worker takes one unit per acquire.  The returned
+/// value equals serial negmax.
+/// `batch` and `shards` must both be 1.  They are left over from the
+/// batched scheduler and the sharded problem heap, both removed, and stay
+/// only because perfbench/worker.cpp passes them positionally before
+/// `trace`; drop both together with the next change to perfbench.
 /// `trace` (optional) records the run into per-worker ring buffers for
 /// Perfetto export / trace_report (obs/trace_writer.hpp); it covers both
 /// the executor's scheduling events and the engine's own hooks.
@@ -73,13 +71,13 @@ template <Game G>
 [[nodiscard]] ParallelSearchResult<typename G::Position> parallel_er_threads(
     const G& game, const core::EngineConfig& cfg, int threads, int batch = 1,
     int shards = 1, obs::TraceSession* trace = nullptr) {
-  ERS_CHECK(shards == 1);
+  ERS_CHECK(batch == 1 && shards == 1);
   core::EngineConfig c = cfg;
   c.trace = trace;
   if (c.shared_table != nullptr) c.shared_table->new_search();
   core::Engine<G> engine(game, c);
   runtime::ThreadExecutor<core::Engine<G>> exec(threads);
-  exec.with_batch_size(batch).with_trace(trace);
+  exec.with_trace(trace);
   runtime::ThreadRunReport report = exec.run(engine);
   return ParallelSearchResult<typename G::Position>{
       engine.root_value(), engine.stats(), std::move(report),
@@ -88,9 +86,7 @@ template <Game G>
 
 /// Search `game` with parallel ER on `processors` simulated processors;
 /// deterministic for fixed inputs.  metrics.makespan is the simulated
-/// parallel time used by the efficiency figures.  `batch` mirrors the
-/// thread runtime's scheduler batch size in the cost model: heap accesses
-/// are charged per batch, not per unit.
+/// parallel time used by the efficiency figures.
 /// `trace` (optional) records the simulated schedule on the virtual clock
 /// in the same event schema as the thread runtime — same seed + config
 /// produce an identical event stream (tested).
@@ -100,13 +96,13 @@ template <Game G>
 template <Game G>
 [[nodiscard]] SimulatedSearchResult<typename G::Position> parallel_er_sim(
     const G& game, const core::EngineConfig& cfg, int processors,
-    sim::CostModel cost = {}, int batch = 1,
-    obs::TraceSession* trace = nullptr, obs::Sampler* sampler = nullptr) {
+    sim::CostModel cost = {}, obs::TraceSession* trace = nullptr,
+    obs::Sampler* sampler = nullptr) {
   core::EngineConfig c = cfg;
   c.trace = trace;
   if (c.shared_table != nullptr) c.shared_table->new_search();
   core::Engine<G> engine(game, c);
-  sim::SimExecutor<core::Engine<G>> exec(processors, cost, batch);
+  sim::SimExecutor<core::Engine<G>> exec(processors, cost);
   exec.with_trace(trace).with_sampler(sampler);
   const sim::SimMetrics m = exec.run(engine);
   return SimulatedSearchResult<typename G::Position>{

@@ -44,7 +44,7 @@ struct SpeculationConfig {
 /// How potential speculative work (e-nodes on the speculative queue) is
 /// ranked globally.  The paper uses kFewestEChildren and calls it "a rather
 /// naive ordering"; finding a better global ranking is its §8 future work,
-/// so the alternatives are first-class here and compared in
+/// so two alternatives are first-class here and compared in
 /// bench_spec_policy.
 enum class SpecRankPolicy : std::uint8_t {
   /// Paper §6: fewest e-children first, ties in favor of shallower nodes.
@@ -55,37 +55,6 @@ enum class SpecRankPolicy : std::uint8_t {
   kBestBound,
   /// Arrival order (no ranking) — the control.
   kFifo,
-  /// Bound-driven composite rank (the §8 "better mechanism for globally
-  /// ranking speculative work"): primary key is the candidate's remaining
-  /// sibling-bound distance — how much room the node's live search window
-  /// still leaves its best unpromoted child — so entries whose siblings'
-  /// bounds have tightened past them sink; ties break toward smaller
-  /// expansion fronts (fewest e-children) and shallower nodes, the paper's
-  /// ordering.  The rank is a pure function of committed state.  (The name
-  /// is historical: it also weighed in executor steal pressure while the
-  /// heap was sharded, and it keys BENCH_spec_policy.json's rows.)
-  kStealAware,
-};
-
-/// Speculation control (DESIGN.md §17): the dynamic policies layered on
-/// top of SpecRankPolicy.  Both default off — the engine's pop order is
-/// then the paper's.
-struct SpecControlConfig {
-  /// Re-rank speculative entries at pop time against the *current*
-  /// bounds: an entry whose recomputed rank worsened since it was pushed
-  /// is demoted (re-pushed at its new rank through the spec_seq staleness
-  /// path — cancel-on-demote), and an entry whose window has closed
-  /// entirely is re-windowed the same way so it only surfaces once every
-  /// cheaper candidate is gone.
-  bool bound_demote = false;
-  /// Cap live speculative promotions, derived at every speculative pop
-  /// from the waste ledger's running speculative-loss share: budget_max
-  /// while the share is at or under waste_target, shrinking
-  /// proportionally (floored at budget_min) as waste overshoots.
-  bool budget = false;
-  int budget_min = 1;
-  int budget_max = 64;
-  double waste_target = 0.10;
 };
 
 /// The serial search below the root of every unit (DESIGN.md §18).  Above
@@ -125,10 +94,6 @@ struct EngineConfig {
   OrderingPolicy ordering;
   SpeculationConfig speculation;
   SpecRankPolicy spec_rank = SpecRankPolicy::kFewestEChildren;
-  /// Dynamic speculation control (demotion / budget).  All-off by
-  /// default: the engine then behaves bit-identically to a build without
-  /// the feature.
-  SpecControlConfig spec_control;
   /// Shared move-ordering tables (search/ordering.hpp): history counters
   /// and killer slots consulted by expansion-time child sorts and the
   /// serial units.  Not owned; null keeps the paper's pure
@@ -163,11 +128,6 @@ struct EngineStats {
   std::uint64_t refutations_dispatched = 0; ///< children re-typed r-node
   std::uint64_t cutoffs_at_pop = 0;         ///< units cancelled before compute
   std::uint64_t dead_items_dropped = 0;     ///< queue entries under finished ancestors
-  /// Speculation-control counters (SpecControlConfig; all zero with the
-  /// controls off).
-  std::uint64_t spec_demotions = 0;         ///< entries re-ranked at pop (rank worsened)
-  std::uint64_t spec_rewindows = 0;         ///< entries re-pushed with a closed window
-  std::uint64_t spec_budget_deferrals = 0;  ///< spec pops skipped over budget
 };
 
 /// Snapshot of the engine's lock accounting: one section per acquire or
@@ -212,22 +172,12 @@ struct EngineMemStats {
 ///                          an ancestor had already finished.  Dead drops
 ///                          count entries only: the subtree's committed
 ///                          compute was charged when the subtree died.
-///   * kSpecDemoted       — a speculative entry re-ranked at pop time
-///                          because its recomputed rank had worsened
-///                          (bound tightening; see
-///                          SpecControlConfig::bound_demote).  Entry-level
-///                          like kDeadDrop: no committed work is charged.
-///   * kSpecRewindowed    — a speculative entry whose search window had
-///                          closed entirely at pop time, re-pushed at the
-///                          back of the rank order.  Entry-level.
 enum class WasteCause : std::uint8_t {
   kBoundChange = 0,
   kSiblingResolution = 1,
   kDeadDrop = 2,
-  kSpecDemoted = 3,
-  kSpecRewindowed = 4,
 };
-inline constexpr std::size_t kWasteCauseCount = 5;
+inline constexpr std::size_t kWasteCauseCount = 3;
 
 /// The ledger's ply axis: engine nodes live at or above the serial cutover
 /// (ply in [0, serial_depth]; nodes below it sit inside units), so bands
@@ -292,8 +242,6 @@ struct EngineWasteStats {
     case WasteCause::kBoundChange: return "bound_change";
     case WasteCause::kSiblingResolution: return "sibling_resolution";
     case WasteCause::kDeadDrop: return "dead_drop";
-    case WasteCause::kSpecDemoted: return "spec_demoted";
-    case WasteCause::kSpecRewindowed: return "spec_rewindowed";
   }
   return "unknown";
 }

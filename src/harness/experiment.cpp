@@ -41,8 +41,7 @@ ParallelPoint run_parallel_point(const ExperimentTree& tree, int processors,
   p.processors = processors;
   std::visit(
       [&](const auto& game) {
-        const auto r =
-            parallel_er_sim(game, cfg, processors, cost, /*batch=*/1, trace);
+        const auto r = parallel_er_sim(game, cfg, processors, cost, trace);
         p.value = r.value;
         p.engine = r.engine;
         p.metrics = r.metrics;

@@ -4,8 +4,8 @@
 // One Histogram per worker, written with no synchronization by that worker
 // alone — exactly the SchedulerStats ownership rule — and merged after the
 // pool has joined (thread runtime) or on the single simulator thread.  The
-// scheduler records three kinds of samples through it: compute-span
-// durations, commit latencies, and acquired batch sizes.
+// scheduler records two kinds of samples through it: compute-span
+// durations and commit latencies.
 //
 // Buckets are powers of two: bucket b holds the values whose bit width is
 // b, i.e. [2^(b-1), 2^b - 1], with bucket 0 holding exactly the value 0.

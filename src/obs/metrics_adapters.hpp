@@ -27,14 +27,10 @@ inline void register_scheduler_stats(MetricsRegistry& reg,
   reg.set(prefix + "lock_hold_ns", s.lock_hold_ns);
   reg.set(prefix + "compute_ns", s.compute_ns);
   reg.set(prefix + "units", s.units);
-  reg.set(prefix + "batches", s.batches);
-  reg.set(prefix + "mean_batch", s.mean_batch_size());
   reg.set(prefix + "wakeups_issued", s.wakeups_issued);
   reg.set(prefix + "sleeps", s.sleeps);
-  // Streaming histograms (DESIGN.md §16): batch sizes always; compute-span
-  // and commit latencies only on traced runs (the untraced hot path never
-  // reads the clock).
-  reg.put_histogram(prefix + "batch_size", s.batch_hist);
+  // Streaming histograms (DESIGN.md §16): compute-span and commit latencies,
+  // only on traced runs (the untraced hot path never reads the clock).
   if (s.compute_hist.count() > 0)
     reg.put_histogram(prefix + "compute_span_ns", s.compute_hist);
   if (s.commit_hist.count() > 0)
@@ -112,9 +108,8 @@ inline void register_sim_metrics(MetricsRegistry& reg,
   reg.set(prefix + "units", m.units);
   reg.set(prefix + "heap_accesses", m.heap_accesses);
   reg.set(prefix + "utilization", m.utilization());
-  // Simulated runs always carry exact per-unit durations, so all three
+  // Simulated runs always carry exact per-unit durations, so both
   // histograms are populated (virtual-clock units).
-  reg.put_histogram(prefix + "batch_size", m.batch_hist);
   reg.put_histogram(prefix + "compute_span_ns", m.compute_hist);
   reg.put_histogram(prefix + "commit_latency_ns", m.commit_hist);
 }
@@ -133,10 +128,6 @@ inline void register_engine_stats(MetricsRegistry& reg,
   reg.set(prefix + "refutations_dispatched", e.refutations_dispatched);
   reg.set(prefix + "cutoffs_at_pop", e.cutoffs_at_pop);
   reg.set(prefix + "dead_items_dropped", e.dead_items_dropped);
-  // Speculation control (DESIGN.md §17).
-  reg.set(prefix + "spec.demotions", e.spec_demotions);
-  reg.set(prefix + "spec.rewindows", e.spec_rewindows);
-  reg.set(prefix + "spec.budget_deferrals", e.spec_budget_deferrals);
   reg.set("tt.probes", e.search.tt_probes);
   reg.set("tt.hits", e.search.tt_hits);
   reg.set("tt.stores", e.search.tt_stores);

@@ -58,8 +58,6 @@ enum class EventKind : std::uint8_t {
   kLockHoldSpan,  ///< inside the serialized heap section
   kSleepSpan,     ///< parked on the cv (thread) / starving (sim)
   // --- scheduling instants -----------------------------------------------
-  kAcquireBatch,  ///< arg = units acquired
-  kCommitBatch,   ///< arg = units committed
   kWakeup,        ///< arg = notify_one calls issued
   kTtProbe,       ///< arg = table probes performed by one unit's compute
   kTtHit,         ///< arg = validated table hits in one unit's compute
@@ -75,12 +73,9 @@ enum class EventKind : std::uint8_t {
   // --- ABDADA two-phase iteration (DESIGN.md §14) --------------------------
   kAbdadaDefer,    ///< younger sibling skipped (busy elsewhere); arg = ply
   kAbdadaRevisit,  ///< deferred move searched in phase two; arg = ply
-  // --- speculation control (DESIGN.md §17) ---------------------------------
-  kSpecDemote,    ///< spec entry re-pushed, rank decayed; node = the entry's node
-  kSpecRewindow,  ///< spec entry re-pushed, window moved past its candidate
 };
 inline constexpr std::size_t kEventKindCount =
-    static_cast<std::size_t>(EventKind::kSpecRewindow) + 1;
+    static_cast<std::size_t>(EventKind::kAbdadaRevisit) + 1;
 
 /// Stable display/schema name of a kind (the Perfetto event `name`).
 [[nodiscard]] constexpr const char* event_name(EventKind k) noexcept {
@@ -89,8 +84,6 @@ inline constexpr std::size_t kEventKindCount =
     case EventKind::kLockWaitSpan: return "lock_wait";
     case EventKind::kLockHoldSpan: return "lock_hold";
     case EventKind::kSleepSpan: return "sleep";
-    case EventKind::kAcquireBatch: return "acquire_batch";
-    case EventKind::kCommitBatch: return "commit_batch";
     case EventKind::kWakeup: return "wakeup";
     case EventKind::kTtProbe: return "tt_probe";
     case EventKind::kTtHit: return "tt_hit";
@@ -99,8 +92,6 @@ inline constexpr std::size_t kEventKindCount =
     case EventKind::kUnitCommit: return "unit_commit";
     case EventKind::kAbdadaDefer: return "abdada_defer";
     case EventKind::kAbdadaRevisit: return "abdada_revisit";
-    case EventKind::kSpecDemote: return "spec_demote";
-    case EventKind::kSpecRewindow: return "spec_rewindow";
   }
   return "unknown";
 }

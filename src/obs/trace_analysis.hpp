@@ -148,10 +148,6 @@ struct SpeculationWaste {
   WasteCauseTotal sibling_resolution;  ///< kSpecCancel arg = 3
   std::uint64_t dead_drops = 0;   ///< arg = 0: dead queue entries (no compute)
   std::uint64_t pop_cutoffs = 0;  ///< arg = 1: pop-time cutoffs (not waste)
-  // Speculation control (DESIGN.md §17): queue-entry events, never
-  // committed work, so they carry counts only.
-  std::uint64_t demotions = 0;   ///< kSpecDemote: spec entries re-ranked down
-  std::uint64_t rewindows = 0;   ///< kSpecRewindow: window moved past entry
 
   [[nodiscard]] std::uint64_t total_cancels() const noexcept {
     return bound_change.cancels + sibling_resolution.cancels + dead_drops;
@@ -268,8 +264,6 @@ inline TraceReport analyze_trace(const std::vector<TraceEvent>& events) {
           default: break;
         }
         break;
-      case EventKind::kSpecDemote: ++rep.waste.demotions; break;
-      case EventKind::kSpecRewindow: ++rep.waste.rewindows; break;
       default: break;
     }
   }
@@ -347,12 +341,12 @@ inline TraceReport analyze_trace(const std::vector<TraceEvent>& events) {
     }
   };
   std::uint32_t best_root = kNoTraceNode;
-  for (const auto& [parent, kids] : children) {
+  for (const auto& [node, kids] : children) {
     (void)kids;
-    if (is_child.count(parent) > 0) continue;  // interior node
-    compute_best(parent);
-    if (best_root == kNoTraceNode || best[parent] > best[best_root])
-      best_root = parent;
+    if (is_child.count(node) > 0) continue;  // interior node
+    compute_best(node);
+    if (best_root == kNoTraceNode || best[node] > best[best_root])
+      best_root = node;
   }
   if (best_root != kNoTraceNode) {
     rep.critical_path_ns = best[best_root];
@@ -417,12 +411,6 @@ inline TraceReport analyze_trace(const std::vector<TraceEvent>& events) {
        << " committed units (" << format_ns(rep.waste.total_ns())
        << " compute); pop-time cutoffs " << rep.waste.pop_cutoffs << "\n";
   }
-
-  // Always printed, even all-zero: the telemetry smoke job greps these
-  // rows on traces from runs with the controller off.
-  os << "\n== speculation control ==\n";
-  os << "demotions " << rep.waste.demotions << ", re-windows "
-     << rep.waste.rewindows << "\n";
 
   os << "\n== critical path ==\n";
   os << "trace extent      " << format_ns(rep.extent()) << "\n";

@@ -13,18 +13,17 @@
 // runs with no lock of any kind held, which is where the real parallelism
 // lives.
 //
-// Batched scheduling (paper §6's contention remedy): each worker keeps a
-// small local run buffer filled by one acquire_batch call and a local
-// completion buffer flushed through one commit_batch call, so the engine's
-// serialized sections are entered once per batch instead of twice per unit.
-// Wakeups are targeted: a worker that commits or acquires work wakes only
-// as many sleepers as there are units actually left on the queues (no
-// notify_all thundering herd), and a starving worker yields a few times
-// before sleeping so it can catch work released a few microseconds later
-// without a futex round trip.  Every worker keeps a SchedulerStats block; the engine's
-// own lock accounting (EngineLockStats) is folded into the aggregate once
-// every worker has returned, so contention is measurable, not guessed (bench_scheduler
-// consumes exactly these counters).
+// Each worker takes one unit from the engine, computes it with no lock
+// held and commits it — the paper's processor loop, two engine lock
+// sections per unit.  Wakeups are targeted: a worker that acquires work
+// wakes only as many sleepers as there are units actually left on the
+// queues (no notify_all thundering herd), and a starving worker yields a
+// few times before sleeping so it can catch work released a few
+// microseconds later without a futex round trip.  Every worker keeps a
+// SchedulerStats block; the engine's own lock accounting (EngineLockStats)
+// is folded into the aggregate once every worker has returned, so
+// contention is measurable, not guessed (bench_scheduler consumes exactly
+// these counters).
 //
 // Transposition tables: the engine's EngineConfig::shared_table (one
 // lock-free table, every worker probes/stores it) is the production setup.
@@ -33,9 +32,9 @@
 // the benefit of merely *having* a table.  The run report carries the
 // aggregate probe/hit counters either way.
 //
-// Works with any engine exposing the core::Engine protocol; engines without
-// the batch forms (acquire_batch/commit_batch) are driven one unit at a
-// time through the single-item calls.
+// Works with any engine exposing the core::Engine protocol: acquire() ->
+// optional item, compute(item), commit(item, const result&), done(),
+// queued_count() and debug_dump_unfinished().
 
 #include <algorithm>
 #include <atomic>
@@ -45,7 +44,6 @@
 #include <cstdio>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <thread>
 #include <type_traits>
 #include <utility>
@@ -78,25 +76,16 @@ struct SchedulerStats {
   /// the untraced hot path free of per-unit clock reads.
   std::uint64_t compute_ns = 0;
   std::uint64_t units = 0;         ///< work units computed and committed
-  std::uint64_t batches = 0;       ///< non-empty acquire_batch calls
   std::uint64_t wakeups_issued = 0;  ///< targeted notify_one calls
   std::uint64_t sleeps = 0;          ///< times a worker parked on the cv
   /// Distribution views (obs/histogram.hpp), per-worker single-writer and
-  /// merged exactly like the scalar counters.  batch_hist records every
-  /// acquired batch's size (its count equals `batches`, so the scalar
-  /// totals the benches read are untouched by the histogram migration).
-  /// compute_hist records per-unit compute-span ns and commit_hist
-  /// per-flush commit latency ns — both filled only while a trace session
-  /// is attached, from the same clock readings the spans and compute_ns
-  /// use, keeping the untraced hot path free of per-unit clock reads.
-  obs::Histogram batch_hist;
+  /// merged exactly like the scalar counters.  compute_hist records
+  /// per-unit compute-span ns and commit_hist per-unit commit latency ns —
+  /// both filled only while a trace session is attached, from the same
+  /// clock readings the spans and compute_ns use, keeping the untraced hot
+  /// path free of per-unit clock reads.
   obs::Histogram compute_hist;
   obs::Histogram commit_hist;
-
-  void record_batch(std::size_t size) {
-    ++batches;
-    batch_hist.record(size);
-  }
 
   /// The one way per-worker blocks fold into an aggregate (the executor and
   /// every bench go through here, never field-by-field addition).
@@ -106,18 +95,10 @@ struct SchedulerStats {
     lock_hold_ns += o.lock_hold_ns;
     compute_ns += o.compute_ns;
     units += o.units;
-    batches += o.batches;
     wakeups_issued += o.wakeups_issued;
     sleeps += o.sleeps;
-    batch_hist.merge(o.batch_hist);
     compute_hist.merge(o.compute_hist);
     commit_hist.merge(o.commit_hist);
-  }
-
-  [[nodiscard]] double mean_batch_size() const noexcept {
-    return batches == 0 ? 0.0
-                        : static_cast<double>(units) /
-                              static_cast<double>(batches);
   }
 };
 
@@ -143,8 +124,7 @@ struct ThreadRunReport {
                ? 0.0
                : static_cast<double>(tt_hits) / static_cast<double>(tt_probes);
   }
-  /// Fraction of total worker-time spent blocked on the heap lock — the
-  /// contention number batching exists to shrink.
+  /// Fraction of total worker-time spent blocked on the heap lock.
   [[nodiscard]] double lock_wait_share() const noexcept {
     const double total = static_cast<double>(elapsed_ns) *
                          static_cast<double>(threads);
@@ -165,14 +145,6 @@ class ThreadExecutor {
     ERS_CHECK(threads >= 1);
   }
 
-  /// Units a worker pulls per engine heap access (its local run-buffer
-  /// size).  1 reproduces the unbatched scheduler exactly.
-  ThreadExecutor& with_batch_size(int k) noexcept {
-    ERS_CHECK(k >= 1);
-    batch_size_ = k;
-    return *this;
-  }
-
   /// Bench control: give each worker a private ConcurrentTranspositionTable
   /// of 2^size_log2 slots, overriding the engine's shared table for the
   /// compute phase.  Tables live for one run() and are then discarded.
@@ -182,7 +154,7 @@ class ThreadExecutor {
   }
 
   /// Attach a trace session: every worker records its scheduling events
-  /// (compute spans, batches, sleeps, wakeups) into its own ring,
+  /// (compute spans, sleeps, wakeups) into its own ring,
   /// stamped with steady-clock ns from the session epoch; the engine's lock
   /// wait/hold spans land on the same per-worker rings via the session's
   /// thread-local tracer, which each worker installs for the run.
@@ -206,12 +178,11 @@ class ThreadExecutor {
     if constexpr (!obs::kTracingEnabled) trace_ = nullptr;
     if (trace_ != nullptr) trace_->ensure_workers(threads_);
 
-    // Units acquired but not yet committed (includes items in the workers'
-    // run and completion buffers).  Acquirers *pre-claim* their
-    // batch — add k before the acquire, give back the shortfall after — so
-    // a peer can never observe "no queued work and nothing in flight" while
-    // an acquire that will succeed is mid-flight (the stall check below
-    // would misfire otherwise).
+    // Units acquired but not yet committed.  Acquirers *pre-claim* their
+    // unit — add 1 before the acquire, give it back if the acquire misses —
+    // so a peer can never observe "no queued work and nothing in flight"
+    // while an acquire that will succeed is mid-flight (the stall check
+    // below would misfire otherwise).
     std::atomic<int> in_flight{0};
     // Commit epoch: bumped once per applied commit, after the engine has
     // applied it and before the committer drops in_flight.  A dry worker
@@ -242,8 +213,6 @@ class ThreadExecutor {
         tables.push_back(std::make_unique<ConcurrentTranspositionTable>(
             per_thread_table_log2_));
     }
-
-    const std::size_t k = static_cast<std::size_t>(batch_size_);
 
     // Park until work plausibly exists again.  The predicate also fires on
     // in_flight == 0 so that a scheduling bug (work leaked with nothing in
@@ -295,71 +264,36 @@ class ThreadExecutor {
     auto report_stall = [&](int index) {
       std::fprintf(stderr,
                    "ThreadExecutor stall: no queued work, 0 units in "
-                   "flight, engine not done (worker %d, %d threads, "
-                   "batch %d).  Unfinished nodes:\n",
-                   index, threads_, batch_size_);
+                   "flight, engine not done (worker %d, %d threads).  "
+                   "Unfinished nodes:\n",
+                   index, threads_);
       engine.debug_dump_unfinished(stderr);
       failed.store(true);
     };
 
     // --- the worker loop ----------------------------------------------------
-    // Flush completions, acquire a batch, compute it, repeat.  All engine
+    // Acquire one unit, compute it, commit it, repeat.  All engine
     // synchronization happens inside the engine: every acquire and every
     // commit takes its one lock.
     auto work_loop = [&](int index) {
       SchedulerStats& st = stats[static_cast<std::size_t>(index)];
       obs::Tracer* tr = trace_ == nullptr ? nullptr : &trace_->worker(index);
       obs::TraceSession::set_thread_tracer(tr);
-      std::vector<ItemT> run_buf;
-      std::vector<EntryT> done_buf;
-      run_buf.reserve(k);
-      done_buf.reserve(k);
-      // Recycled compute-result buffers: committed entries donate their
-      // results (whose child vectors keep capacity — the engine copies
-      // positions out, never moves the buffers) back to a spare pool, so
-      // steady-state expansion computes into warm vectors instead of
-      // allocating fresh ones per unit.
-      std::vector<ResultT> spare;
-      spare.reserve(kSpareResults);
-      auto take_spare = [&]() -> ResultT {
-        if (spare.empty()) return ResultT{};
-        ResultT r = std::move(spare.back());
-        spare.pop_back();
-        return r;
-      };
-      auto harvest = [&](std::vector<EntryT>& buf) {
-        for (EntryT& e : buf)
-          if (spare.size() < kSpareResults) spare.push_back(std::move(e.result));
-      };
+      // One result buffer per worker, reused across units: the engine
+      // copies child positions out at commit and never moves the buffer,
+      // so steady-state expansion computes into a warm vector instead of
+      // allocating a fresh one per unit.
+      ResultT result{};
       int spins = 0;
 
       for (;;) {
-        // --- flush completions ---------------------------------------------
-        if (!done_buf.empty()) {
-          if (tr != nullptr) {
-            tr->instant(obs::EventKind::kCommitBatch, trace_->now_ns(),
-                        obs::kNoTraceNode,
-                        static_cast<std::uint32_t>(done_buf.size()));
-            const auto f0 = Clock::now();
-            commit_all(engine, done_buf);
-            st.commit_hist.record(ns(f0, Clock::now()));
-          } else {
-            commit_all(engine, done_buf);
-          }
-          st.units += done_buf.size();
-          commit_epoch.fetch_add(1);
-          in_flight.fetch_sub(static_cast<int>(done_buf.size()));
-          harvest(done_buf);
-          done_buf.clear();
-        }
         if (engine.done() || failed.load()) return broadcast_exit();
 
-        // --- acquire the next batch ---------------------------------------
         const std::uint64_t epoch = commit_epoch.load();
-        in_flight.fetch_add(static_cast<int>(k));  // pre-claim (see above)
-        const std::size_t got = acquire_into(engine, k, run_buf);
-        if (got < k) in_flight.fetch_sub(static_cast<int>(k - got));
-        if (got == 0) {
+        in_flight.fetch_add(1);  // pre-claim (see above)
+        const auto item = engine.acquire();
+        if (!item) {
+          in_flight.fetch_sub(1);
           // acquire() itself can finish the search (pop-time cutoffs can
           // combine all the way to the root); re-check before stalling.
           if (engine.done()) return broadcast_exit();
@@ -384,34 +318,30 @@ class ThreadExecutor {
           continue;
         }
         spins = 0;
-        st.record_batch(got);
-        if (tr != nullptr)
-          tr->instant(obs::EventKind::kAcquireBatch, trace_->now_ns(),
-                      node_of(run_buf.front()),
-                      static_cast<std::uint32_t>(got));
         wake_for(st, tr);
 
-        // --- parallel section: compute the whole batch, no locks held -----
-        for (ItemT& item : run_buf) {
-          ResultT result = take_spare();
-          if (tr == nullptr) {
-            compute_item_into(engine, item, index, tables, result);
-            done_buf.push_back(EntryT{item, std::move(result)});
-            continue;
-          }
+        // --- parallel section: compute with no lock held, then commit ----
+        if (tr == nullptr) {
+          compute_item_into(engine, *item, index, tables, result);
+          engine.commit(*item, result);
+        } else {
           const auto c0 = Clock::now();
-          compute_item_into(engine, item, index, tables, result);
+          compute_item_into(engine, *item, index, tables, result);
           const auto c1 = Clock::now();
           const std::uint64_t cns = ns(c0, c1);
           st.compute_ns += cns;
           st.compute_hist.record(cns);
           stamp_compute_ns(result, cns);
           tr->span(obs::EventKind::kComputeSpan, trace_->to_ns(c0),
-                   trace_->to_ns(c1), node_of(item));
-          trace_tt(*tr, trace_->to_ns(c1), node_of(item), result);
-          done_buf.push_back(EntryT{item, std::move(result)});
+                   trace_->to_ns(c1), node_of(*item));
+          trace_tt(*tr, trace_->to_ns(c1), node_of(*item), result);
+          const auto f0 = Clock::now();
+          engine.commit(*item, result);
+          st.commit_hist.record(ns(f0, Clock::now()));
         }
-        run_buf.clear();
+        ++st.units;
+        commit_epoch.fetch_add(1);
+        in_flight.fetch_sub(1);
       }
     };
 
@@ -460,17 +390,11 @@ class ThreadExecutor {
   using ItemT = std::decay_t<decltype(*std::declval<EngineT&>().acquire())>;
   using ResultT = decltype(std::declval<EngineT&>().compute(
       std::declval<const ItemT&>()));
-  /// Completion-buffer entry: the engine's own, so the buffer can be
-  /// handed to commit_batch as-is.
-  using EntryT = typename EngineT::CommitEntry;
 
   /// Yield-retry rounds a dry worker donates its timeslice through before
   /// parking on the condition variable (a futex sleep plus wakeup costs two
   /// syscalls; work is usually released within a commit or two).
   static constexpr int kDryYieldRounds = 16;
-  /// Cap on a worker's recycled compute-result pool.  Bounds the warm
-  /// capacity a worker retains to a small multiple of its batch size.
-  static constexpr std::size_t kSpareResults = 64;
 
   [[nodiscard]] static std::uint64_t ns(
       std::chrono::steady_clock::time_point a,
@@ -486,34 +410,6 @@ class ThreadExecutor {
   template <typename Result>
   static void stamp_compute_ns(Result& r, std::uint64_t v) noexcept {
     if constexpr (requires { r.compute_ns; }) r.compute_ns = v;
-  }
-
-  template <typename E>
-  static std::size_t acquire_into(E& engine, std::size_t k,
-                                  std::vector<ItemT>& out) {
-    if constexpr (requires { engine.acquire_batch(k, out); }) {
-      return engine.acquire_batch(k, out);
-    } else {
-      std::size_t got = 0;
-      while (got < k) {
-        auto item = engine.acquire();
-        if (!item) break;
-        out.push_back(*item);
-        ++got;
-      }
-      return got;
-    }
-  }
-
-  /// Commit the completion buffer: one commit_batch call where the engine
-  /// has the batch form, unit by unit otherwise.
-  template <typename E>
-  static void commit_all(E& engine, std::vector<EntryT>& buf) {
-    if constexpr (requires { engine.commit_batch(std::span<EntryT>(buf)); }) {
-      engine.commit_batch(std::span<EntryT>(buf));
-    } else {
-      for (EntryT& e : buf) engine.commit(e.item, std::move(e.result));
-    }
   }
 
   /// Engine node id of a work item, for trace events; kNoTraceNode for
@@ -584,7 +480,6 @@ class ThreadExecutor {
   }
 
   int threads_;
-  int batch_size_ = 1;
   int per_thread_table_log2_ = -1;  ///< < 0: use the engine's configuration
   obs::TraceSession* trace_ = nullptr;  ///< not owned; null = untraced
 };

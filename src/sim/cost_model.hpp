@@ -22,11 +22,8 @@ struct CostModel {
   std::uint64_t per_unit_base = 1;  ///< fixed bookkeeping per work unit
   /// Cost of one serialized access to the shared problem heap — the
   /// interference knob: raising these reproduces the paper's growing
-  /// contention loss at higher processor counts.  Charged once per
-  /// *batch* (SimExecutor's batch size), not once per unit, mirroring the
-  /// thread runtime's batched scheduler where one lock acquisition pulls or
-  /// commits a whole run buffer.  At batch = 1 each unit pays one acquire
-  /// and one commit, the paper's setup.
+  /// contention loss at higher processor counts.  Each unit pays one
+  /// acquire and one commit, the paper's setup.
   std::uint64_t per_heap_acquire = 1;
   std::uint64_t per_heap_commit = 1;
   /// Transposition-table traffic.  Probes and stores are lock-free (one

@@ -5,21 +5,16 @@
 //
 // The executor works with any engine exposing the protocol of
 // core::Engine — acquire()/compute()/commit()/done() — so the same harness
-// simulates parallel ER and the MWF baseline.  Engines exposing the batch
-// forms (acquire_batch/commit_batch) can additionally be driven with a
-// scheduler batch size > 1, mirroring the thread runtime's batched
-// scheduler in the cost model.
+// simulates parallel ER and the MWF baseline.
 //
 // Model:
 //  * P identical virtual processors.  A processor is either idle (starving)
-//    or busy with one batch of up to `batch` work units.
-//  * acquire+compute+commit form one batch.  The heavy compute part costs
-//    the sum of CostModel::of(unit stats) over the batch; the acquire and
-//    the commit each perform one access to the shared problem heap
-//    (CostModel::per_heap_acquire / per_heap_commit), serialized by the
-//    heap's one lock, modeling the paper's interference loss.  Batching
-//    therefore pays the serialized heap price once per batch instead of
-//    once per unit — exactly the thread runtime's remedy.
+//    or busy with one work unit.
+//  * acquire+compute+commit form one unit.  The heavy compute part costs
+//    CostModel::of(unit stats); the acquire and the commit each perform one
+//    access to the shared problem heap (CostModel::per_heap_acquire /
+//    per_heap_commit), serialized by the heap's one lock, modeling the
+//    paper's interference loss.
 //    Engine state changes are applied atomically in event order, so the
 //    schedule is deterministic and the search result is exact; the lock
 //    models *time*, not state races.
@@ -52,12 +47,11 @@ struct SimMetrics {
   std::uint64_t units = 0;           ///< work units completed
   std::uint64_t heap_accesses = 0;   ///< serialized heap ops (acquire+commit)
   /// Distribution views of the run (obs/histogram.hpp), mirroring the
-  /// thread scheduler's triple: per-unit compute cost, per-batch commit
-  /// latency (completion to processor freed: lock wait + apply), and
-  /// acquired batch sizes.  Deterministic under the virtual clock.
+  /// thread scheduler's pair: per-unit compute cost and per-unit commit
+  /// latency (completion to processor freed: lock wait + apply).
+  /// Deterministic under the virtual clock.
   obs::Histogram compute_hist;
   obs::Histogram commit_hist;
-  obs::Histogram batch_hist;
   int processors = 0;
 
   /// Fraction of processor-time that did useful work.
@@ -71,17 +65,14 @@ struct SimMetrics {
 template <typename EngineT>
 class SimExecutor {
  public:
-  /// `batch` is the scheduler batch size: units pulled (and committed) per
-  /// serialized heap access; 1 is the paper's unbatched scheduler.
-  SimExecutor(int processors, CostModel cost = {}, int batch = 1)
-      : processors_(processors), cost_(cost), batch_(batch) {
+  SimExecutor(int processors, CostModel cost = {})
+      : processors_(processors), cost_(cost) {
     ERS_CHECK(processors >= 1);
-    ERS_CHECK(batch >= 1);
   }
 
   /// Attach a trace session: the simulator emits the *same* event schema as
-  /// the thread runtime (lock wait/hold, compute spans, acquire/commit
-  /// batches, starvation as sleep spans) stamped on its virtual clock — one
+  /// the thread runtime (lock wait/hold, compute spans, starvation as sleep
+  /// spans) stamped on its virtual clock — one
   /// simulated cost unit per "ns" — so a simulated and a real run of the
   /// same tree open side by side in one Perfetto view.  The session is
   /// switched to its virtual clock, which also timestamps the engine's own
@@ -106,16 +97,13 @@ class SimExecutor {
     using ItemT = std::decay_t<decltype(*engine.acquire())>;
     using ComputeT = decltype(engine.compute(*engine.acquire()));
 
-    struct Entry {
-      ItemT item;
-      ComputeT result;
-    };
     struct Completion {
       std::uint64_t t;
       std::uint64_t seq;
       std::uint64_t started;
       int worker;
-      std::vector<Entry> batch;
+      ItemT item;
+      ComputeT result;
     };
     struct Later {
       bool operator()(const Completion& a, const Completion& b) const noexcept {
@@ -154,7 +142,7 @@ class SimExecutor {
 
     auto dispatch = [&] {
       while (!idle.empty()) {
-        // The worker that will take the batch is known before the pop (the
+        // The worker that will take the unit is known before the pop (the
         // longest-starved one); point the engine's trace hooks at it so
         // acquire-time cancellations are attributed to the right track.
         const IdleWorker w = idle.top();
@@ -162,52 +150,30 @@ class SimExecutor {
           trace_->set_current_worker(w.id);
           trace_->set_virtual_now(now);
         }
-        std::vector<ItemT> items;
-        acquire_into(engine, static_cast<std::size_t>(batch_), items);
-        if (items.empty()) break;
+        std::optional<ItemT> item = engine.acquire();
+        if (!item) break;
         idle.pop();
         m.idle_time += now - w.since;
-        // One serialized heap access for the whole acquired batch.
         const std::uint64_t start = lock_acquire(now, cost_.per_heap_acquire);
         m.lock_wait_time += start - now;
-        obs::Tracer* tr =
-            trace_ == nullptr ? nullptr : &trace_->worker(w.id);
-        if (tr != nullptr) {
-          if (now > w.since)
-            tr->span(obs::EventKind::kSleepSpan, w.since, now);
-          if (start > now)
-            tr->span(obs::EventKind::kLockWaitSpan, now, start);
-          tr->span(obs::EventKind::kLockHoldSpan, start,
-                   start + cost_.per_heap_acquire);
-          tr->instant(obs::EventKind::kAcquireBatch, start,
-                      node_of(items.front()),
-                      static_cast<std::uint32_t>(items.size()));
+        auto result = engine.compute(*item);
+        const std::uint64_t c = cost_.of(result.stats);
+        m.compute_hist.record(c);
+        // The unit's virtual compute duration rides the result into
+        // commit_one: the engine's waste ledger charges exactly this on
+        // cancellation, making sim-side waste ns exact (not sampled).
+        if constexpr (requires { result.compute_ns; }) result.compute_ns = c;
+        const std::uint64_t t = start + cost_.per_heap_acquire;
+        if (trace_ != nullptr) {
+          obs::Tracer& tr = trace_->worker(w.id);
+          if (now > w.since) tr.span(obs::EventKind::kSleepSpan, w.since, now);
+          if (start > now) tr.span(obs::EventKind::kLockWaitSpan, now, start);
+          tr.span(obs::EventKind::kLockHoldSpan, start, t);
+          tr.span(obs::EventKind::kComputeSpan, t, t + c, node_of(*item));
+          trace_tt(tr, t + c, node_of(*item), result);
         }
-        std::vector<Entry> batch;
-        batch.reserve(items.size());
-        std::uint64_t compute_cost = 0;
-        std::uint64_t t = start + cost_.per_heap_acquire;
-        m.batch_hist.record(items.size());
-        for (ItemT& item : items) {
-          auto result = engine.compute(item);
-          const std::uint64_t c = cost_.of(result.stats);
-          compute_cost += c;
-          m.compute_hist.record(c);
-          // The unit's virtual compute duration rides the result into
-          // commit_one: the engine's waste ledger charges exactly this on
-          // cancellation, making sim-side waste ns exact (not sampled).
-          if constexpr (requires { result.compute_ns; }) result.compute_ns = c;
-          if (tr != nullptr) {
-            tr->span(obs::EventKind::kComputeSpan, t, t + c, node_of(item));
-            trace_tt(*tr, t + c, node_of(item), result);
-          }
-          t += c;
-          batch.push_back(Entry{std::move(item), std::move(result)});
-        }
-        const std::uint64_t done_at =
-            start + cost_.per_heap_acquire + compute_cost;
-        inflight.push(
-            Completion{done_at, seq++, start, w.id, std::move(batch)});
+        inflight.push(Completion{t + c, seq++, start, w.id, std::move(*item),
+                                 std::move(result)});
       }
     };
 
@@ -217,7 +183,6 @@ class SimExecutor {
       Completion ev = std::move(const_cast<Completion&>(inflight.top()));
       inflight.pop();
       now = ev.t;
-      // One serialized access commits the whole batch.
       const std::uint64_t commit_cost = cost_.per_heap_commit;
       const std::uint64_t start = lock_acquire(now, commit_cost);
       m.lock_wait_time += start - now;
@@ -226,9 +191,6 @@ class SimExecutor {
         if (start > now)
           tr.span(obs::EventKind::kLockWaitSpan, now, start);
         tr.span(obs::EventKind::kLockHoldSpan, start, start + commit_cost);
-        tr.instant(obs::EventKind::kCommitBatch, start,
-                   node_of(ev.batch.front().item),
-                   static_cast<std::uint32_t>(ev.batch.size()));
         trace_->set_current_worker(ev.worker);
         trace_->set_virtual_now(start);
       }
@@ -236,8 +198,8 @@ class SimExecutor {
       // Busy time is credited at commit so that work still in flight when
       // the root combines can be clamped to the makespan below.
       m.busy_time += (ev.t - ev.started) + commit_cost;
-      commit_all(engine, ev.batch);
-      m.units += ev.batch.size();
+      engine.commit(ev.item, std::move(ev.result));
+      ++m.units;
       m.commit_hist.record(freed_at - ev.t);
       m.makespan = std::max(m.makespan, freed_at);
       idle.push(IdleWorker{freed_at, ev.worker});
@@ -272,27 +234,6 @@ class SimExecutor {
   }
 
  private:
-  /// Pull up to k items, preferring the engine's batch form.  Engines
-  /// exposing only the single-item protocol (the scripted DES fake, the
-  /// baselines) are popped one at a time — identical semantics.
-  template <typename E, typename ItemT>
-  static void acquire_into(E& engine, std::size_t k, std::vector<ItemT>& out) {
-    if constexpr (requires { engine.acquire_batch(k, out); }) {
-      engine.acquire_batch(k, out);
-    } else {
-      while (out.size() < k) {
-        auto item = engine.acquire();
-        if (!item) break;
-        out.push_back(std::move(*item));
-      }
-    }
-  }
-
-  template <typename E, typename EntryT>
-  static void commit_all(E& engine, std::vector<EntryT>& batch) {
-    for (EntryT& e : batch) engine.commit(e.item, std::move(e.result));
-  }
-
   /// Engine node id of a work item, for trace events; kNoTraceNode for
   /// engines whose items carry no node id.
   template <typename Item>
@@ -324,7 +265,6 @@ class SimExecutor {
 
   int processors_;
   CostModel cost_;
-  int batch_;
   obs::TraceSession* trace_ = nullptr;  ///< not owned; null = untraced
   obs::Sampler* sampler_ = nullptr;     ///< not owned; polled in virtual mode
 };

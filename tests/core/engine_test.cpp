@@ -7,10 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstddef>
 #include <string>
 #include <tuple>
-#include <vector>
 
 #include "core/parallel_er.hpp"
 #include "gametree/explicit_tree.hpp"
@@ -213,87 +211,14 @@ TEST(Engine, StatsAreInternallyConsistent) {
   EXPECT_EQ(r.metrics.units, r.engine.units_processed);
 }
 
-// --- batched executor protocol -------------------------------------------
-
-TEST(EngineBatch, AcquireBatchRespectsLimitAndOrder) {
-  const UniformRandomTree g(4, 4, 21, -50, 50);
-  using EngineT = core::Engine<UniformRandomTree>;
-  EngineT engine(g, config_for(4, 2));
-  std::vector<core::WorkItem> batch;
-  const std::size_t got = engine.acquire_batch(3, batch);
-  EXPECT_LE(got, 3u);
-  EXPECT_EQ(got, batch.size());
-  // The batch must coincide with what repeated single acquires would have
-  // popped: commit nothing, so a fresh engine's single pops reproduce it.
-  EngineT engine2(g, config_for(4, 2));
-  for (const core::WorkItem& item : batch) {
-    const auto single = engine2.acquire();
-    ASSERT_TRUE(single.has_value());
-    EXPECT_EQ(single->node, item.node);
-    EXPECT_EQ(single->kind, item.kind);
-  }
-}
-
-TEST(EngineBatch, BatchDriverMatchesNegmax) {
-  // Drive the engine to completion through the batch forms only, at several
-  // batch sizes: the root value must equal serial negmax every time.
-  for (const std::size_t k : {1u, 2u, 4u, 8u}) {
-    for (std::uint64_t seed = 0; seed < 6; ++seed) {
-      const UniformRandomTree g(3, 5, seed, -60, 60);
-      using EngineT = core::Engine<UniformRandomTree>;
-      EngineT engine(g, config_for(5, 3));
-      std::vector<core::WorkItem> items;
-      std::vector<EngineT::CommitEntry> batch;
-      while (!engine.done()) {
-        items.clear();
-        batch.clear();
-        const std::size_t got = engine.acquire_batch(k, items);
-        if (got == 0) break;  // acquire can combine to the root
-        EXPECT_LE(got, k);
-        for (const core::WorkItem& item : items)
-          batch.push_back({item, engine.compute(item)});
-        engine.commit_batch(batch);
-      }
-      ASSERT_TRUE(engine.done()) << "k=" << k << " seed=" << seed;
-      EXPECT_EQ(engine.root_value(), negmax_search(g, 5).value)
-          << "k=" << k << " seed=" << seed;
-    }
-  }
-}
-
-TEST(EngineBatch, SingleItemCallsAreUnchangedWrappers) {
-  // A k=1 batch driver and the classic acquire/commit driver must walk the
-  // identical schedule: same unit count, same nodes, same value.
-  const UniformRandomTree g(4, 4, 33, -80, 80);
-  using EngineT = core::Engine<UniformRandomTree>;
-  EngineT a(g, config_for(4, 2));
-  while (!a.done()) {
-    auto item = a.acquire();
-    if (!item) break;
-    a.commit(*item, a.compute(*item));
-  }
-  EngineT b(g, config_for(4, 2));
-  std::vector<core::WorkItem> items;
-  std::vector<EngineT::CommitEntry> batch;
-  while (!b.done()) {
-    items.clear();
-    batch.clear();
-    if (b.acquire_batch(1, items) == 0) break;
-    batch.push_back({items[0], b.compute(items[0])});
-    b.commit_batch(batch);
-  }
-  EXPECT_EQ(a.root_value(), b.root_value());
-  EXPECT_EQ(a.stats().units_processed, b.stats().units_processed);
-  EXPECT_EQ(a.stats().search.nodes_generated(), b.stats().search.nodes_generated());
-}
-
-TEST(EngineBatch, QueuedCountReflectsQueues) {
+TEST(Engine, QueuedCountReflectsQueues) {
   const UniformRandomTree g(4, 4, 5, -50, 50);
   core::Engine<UniformRandomTree> engine(g, config_for(4, 2));
-  EXPECT_GE(engine.queued_count(), 1u) << "the root starts queued";
-  std::vector<core::WorkItem> items;
-  engine.acquire_batch(64, items);
-  EXPECT_EQ(engine.queued_count(), 0u) << "a huge batch drains the queues";
+  EXPECT_EQ(engine.queued_count(), 1u) << "the root starts queued";
+  const auto root = engine.acquire();
+  ASSERT_TRUE(root.has_value());
+  EXPECT_EQ(root->node, 0u);
+  EXPECT_EQ(engine.queued_count(), 0u) << "acquiring the root drains the queue";
 }
 
 }  // namespace

@@ -113,33 +113,18 @@ TEST(NodeStorage, PopOrderUnchangedByReclamation) {
   }
 }
 
-/// Eight raw protocol drivers race one engine to completion.  Batch 1
-/// drives the single-unit acquire/commit calls, larger batches the batch
-/// forms.
-void hammer(EngineT& engine, std::size_t k) {
+/// Eight raw protocol drivers race one engine to completion, one unit per
+/// acquire/commit pair.
+void hammer(EngineT& engine) {
   std::vector<std::thread> drivers;
   for (int t = 0; t < 8; ++t) {
-    drivers.emplace_back([&engine, k] {
-      std::vector<core::WorkItem> items;
-      std::vector<EngineT::CommitEntry> batch;
+    drivers.emplace_back([&engine] {
       while (!engine.done()) {
-        items.clear();
-        batch.clear();
-        if (k == 1) {
-          if (auto item = engine.acquire()) {
-            engine.commit(*item, engine.compute(*item));
-          } else {
-            std::this_thread::yield();
-          }
-          continue;
-        }
-        if (engine.acquire_batch(k, items) == 0) {
+        if (auto item = engine.acquire()) {
+          engine.commit(*item, engine.compute(*item));
+        } else {
           std::this_thread::yield();
-          continue;
         }
-        for (const core::WorkItem& item : items)
-          batch.push_back({item, engine.compute(item)});
-        engine.commit_batch(batch);
       }
     });
   }
@@ -153,26 +138,23 @@ TEST(NodeStorage, ReclamationHammer) {
   // races a lock-free compute read shows up as a data race here, and the
   // counter conservation law catches double reclaims that happen to race
   // cleanly.
-  for (const std::size_t k : {std::size_t{4}, std::size_t{1}}) {
-    for (std::uint64_t seed = 0; seed < 3; ++seed) {
-      const UniformRandomTree g(4, 6, seed + 50, -100, 100);
-      const Value oracle = negmax_search(g, 6).value;
-      EngineT engine(g, storage_config(6, 4));
-      hammer(engine, k);
-      ASSERT_TRUE(engine.done()) << "seed=" << seed << " batch=" << k;
-      EXPECT_EQ(engine.root_value(), oracle)
-          << "seed=" << seed << " batch=" << k;
-      const core::EngineMemStats m = engine.mem_stats();
-      EXPECT_GT(m.cold_reclaimed, 0u);
-      expect_cold_accounting(m);
-    }
+  for (std::uint64_t seed = 0; seed < 6; ++seed) {
+    const UniformRandomTree g(4, 6, seed + 50, -100, 100);
+    const Value oracle = negmax_search(g, 6).value;
+    EngineT engine(g, storage_config(6, 4));
+    hammer(engine);
+    ASSERT_TRUE(engine.done()) << "seed=" << seed;
+    EXPECT_EQ(engine.root_value(), oracle) << "seed=" << seed;
+    const core::EngineMemStats m = engine.mem_stats();
+    EXPECT_GT(m.cold_reclaimed, 0u);
+    expect_cold_accounting(m);
   }
   // A parallel region of 15k-21k nodes: the arenas grow across 15-21
   // chunks of 1,024 slots, so the chunk table grows while other drivers
   // compute through pointers into earlier chunks.
   const UniformRandomTree wide(5, 8, 61, -100, 100);
   EngineT engine(wide, storage_config(8, 7));
-  hammer(engine, 4);
+  hammer(engine);
   ASSERT_TRUE(engine.done());
   EXPECT_EQ(engine.root_value(), alpha_beta_search(wide, 8).value);
   const core::EngineMemStats m = engine.mem_stats();

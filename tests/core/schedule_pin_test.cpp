@@ -83,34 +83,17 @@ Pin pin_of(const G& g, Value value, const core::EngineStats& s,
              order_hash};
 }
 
-/// Drive the engine to completion on one thread: acquire up to `batch`
-/// units (the single-unit calls at batch 1), compute them in order, and
-/// commit them together.
+/// Drive the engine to completion on one thread: acquire a unit, compute
+/// it, commit it.
 template <Game G>
-Pin drive(const G& g, const core::EngineConfig& cfg, std::size_t batch) {
-  using EngineT = core::Engine<G>;
-  EngineT engine(g, cfg);
+Pin drive(const G& g, const core::EngineConfig& cfg) {
+  core::Engine<G> engine(g, cfg);
   OrderHash order;
-  std::vector<core::WorkItem> items;
-  std::vector<typename EngineT::CommitEntry> entries;
   while (!engine.done()) {
-    items.clear();
-    if (batch == 1) {
-      auto item = engine.acquire();
-      if (!item) break;
-      items.push_back(*item);
-    } else if (engine.acquire_batch(batch, items) == 0) {
-      break;
-    }
-    entries.clear();
-    for (const core::WorkItem& item : items) {
-      order.add(item);
-      entries.push_back({item, engine.compute(item)});
-    }
-    if (batch == 1)
-      engine.commit(entries.front().item, std::move(entries.front().result));
-    else
-      engine.commit_batch(entries);
+    const auto item = engine.acquire();
+    if (!item) break;
+    order.add(*item);
+    engine.commit(*item, engine.compute(*item));
   }
   EXPECT_TRUE(engine.done()) << "the driver ran out of work";
   return pin_of(g, engine.root_value(), engine.stats(),
@@ -133,10 +116,10 @@ void expect_pin(const Pin& got, const Pin& want, const std::string& name) {
 
 TEST(SchedulePin, DefaultConfigOnRandomTrees) {
   const core::EngineConfig cfg;  // depth 7, cutover 2, alpha-beta kernel
-  expect_pin(drive(UniformRandomTree(8, 7, 7), cfg, 1),
+  expect_pin(drive(UniformRandomTree(8, 7, 7), cfg),
              Pin{6496, 1, 25, 77825, 7, 1, 0, 0, 0xec64365a8908b64eull},
              "random b=8 d=7 seed=7");
-  expect_pin(drive(UniformRandomTree(8, 7, 23), cfg, 1),
+  expect_pin(drive(UniformRandomTree(8, 7, 23), cfg),
              Pin{6209, 2, 77, 156323, 1, 1, 0, 0, 0xc0c52b044a2b5dfeull},
              "random b=8 d=7 seed=23");
 }
@@ -146,7 +129,7 @@ TEST(SchedulePin, DefaultConfigOnSortedOthello) {
   cfg.ordering.sort_by_static_value = true;
   cfg.ordering.max_sort_ply = 6;
   const othello::OthelloGame g(othello::paper_position(1));
-  expect_pin(drive(g, cfg, 1),
+  expect_pin(drive(g, cfg),
              Pin{374, 5, 48, 28044, 5, 1, 0, 0, 0x59239bba1336be97ull},
              "othello O1 d=7 sorted");
 }
@@ -155,21 +138,10 @@ TEST(SchedulePin, SerialErKernelAtCutoverFive) {
   core::EngineConfig cfg;
   cfg.serial_depth = 5;
   cfg.unit_kernel = core::UnitKernel::kSerialEr;
-  expect_pin(drive(UniformRandomTree(8, 7, 11), cfg, 1),
+  expect_pin(drive(UniformRandomTree(8, 7, 11), cfg),
              Pin{6300, 5, 8241, 106073, 181, 166, 0, 166,
                  0x5c50a9089d191348ull},
              "random b=8 d=7 seed=11 serial ER");
-}
-
-TEST(SchedulePin, BatchEightWithSpeculationControl) {
-  core::EngineConfig cfg;
-  cfg.spec_rank = core::SpecRankPolicy::kStealAware;
-  cfg.spec_control.bound_demote = true;
-  cfg.spec_control.budget = true;
-  const Pin got = drive(UniformRandomTree(8, 7, 7), cfg, 8);
-  expect_pin(got, Pin{6496, 1, 27, 81125, 7, 1, 1, 6, 0x1d3e7ca46df2c8e1ull},
-             "random b=8 d=7 seed=7 batch 8");
-  EXPECT_GT(got.promotions_speculative, 0u);
 }
 
 TEST(SchedulePin, SimulatorAtSixteenProcessors) {

@@ -43,14 +43,12 @@ INSTANTIATE_TEST_SUITE_P(
     AllPolicies, SpecPolicy,
     ::testing::Values(core::SpecRankPolicy::kFewestEChildren,
                       core::SpecRankPolicy::kBestBound,
-                      core::SpecRankPolicy::kFifo,
-                      core::SpecRankPolicy::kStealAware),
+                      core::SpecRankPolicy::kFifo),
     [](const auto& param_info) {
       switch (param_info.param) {
         case core::SpecRankPolicy::kFewestEChildren: return "FewestEChildren";
         case core::SpecRankPolicy::kBestBound: return "BestBound";
         case core::SpecRankPolicy::kFifo: return "Fifo";
-        case core::SpecRankPolicy::kStealAware: return "StealAware";
       }
       return "Unknown";
     });

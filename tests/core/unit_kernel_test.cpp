@@ -121,7 +121,6 @@ struct DiffCase {
   int threads = 1;
   int serial_depth = 0;
   core::UnitKernel kernel = core::UnitKernel::kAlphaBeta;
-  int batch = 1;
   core::SpeculationConfig speculation;
   core::SpecRankPolicy rank = core::SpecRankPolicy::kFewestEChildren;
   bool sort = false;
@@ -134,7 +133,7 @@ struct DiffCase {
            " threads=" + std::to_string(threads) +
            " serial_depth=" + std::to_string(serial_depth) + " kernel=" +
            (kernel == core::UnitKernel::kAlphaBeta ? "alpha-beta" : "serial-er") +
-           " batch=" + std::to_string(batch) + " parallel_refutation=" +
+           " parallel_refutation=" +
            std::to_string(speculation.parallel_refutation) +
            " multiple_e_children=" +
            std::to_string(speculation.multiple_e_children) +
@@ -160,7 +159,7 @@ void run_diff_case(const G& g, const DiffCase& c) {
   if (c.tt) cfg.shared_table = &tt;
   if (c.order_tables) cfg.order_tables = &order;
   const Value oracle = alpha_beta_search(g, c.depth, cfg.ordering).value;
-  const auto r = parallel_er_threads(g, cfg, c.threads, c.batch);
+  const auto r = parallel_er_threads(g, cfg, c.threads);
   const std::string where = c.describe();
   EXPECT_EQ(r.value, oracle) << where;
   check_best_move(g, cfg, r.best_move, r.value, where);
@@ -173,7 +172,6 @@ TEST(UnitKernelDifferential, SeededRandomConfigsMatchAlphaBeta) {
   Xoshiro256StarStar rng(0x5eed'd1ffull);
   constexpr int kCases = 60;
   constexpr int kThreads[] = {1, 2, 4};
-  constexpr int kBatches[] = {1, 2, 4};
   for (int i = 0; i < kCases; ++i) {
     DiffCase c;
     c.index = i;
@@ -209,11 +207,10 @@ TEST(UnitKernelDifferential, SeededRandomConfigsMatchAlphaBeta) {
     c.serial_depth = static_cast<int>(rng.between(0, c.depth));
     c.kernel = rng.below(2) == 0 ? core::UnitKernel::kAlphaBeta
                                  : core::UnitKernel::kSerialEr;
-    c.batch = kBatches[rng.below(3)];
     c.speculation.parallel_refutation = rng.below(2) == 0;
     c.speculation.multiple_e_children = rng.below(2) == 0;
     c.speculation.early_e_child_choice = rng.below(2) == 0;
-    c.rank = static_cast<core::SpecRankPolicy>(rng.below(4));
+    c.rank = static_cast<core::SpecRankPolicy>(rng.below(3));
     c.sort = rng.below(2) == 0;
     const bool hashed = kind != 3;  // Connect Four has no transposition key
     const bool tt = rng.below(2) == 0;

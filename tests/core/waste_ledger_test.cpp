@@ -61,7 +61,7 @@ TEST(WasteLedger, ReconcilesWithTraceOnO2SpeculationWorkload) {
   std::visit(
       [&](const auto& game) {
         const auto r = parallel_er_sim(game, tree.engine, /*processors=*/8,
-                                       /*cost=*/{}, /*batch=*/1, &session);
+                                       /*cost=*/{}, &session);
         ASSERT_EQ(session.total_dropped(), 0u)
             << "ring overflow would make the replay a strict subset";
         const obs::TraceReport rep = obs::analyze_trace(session.merged());
@@ -82,7 +82,7 @@ TEST(WasteLedger, ReconcilesAcrossProcessorCounts) {
   cfg.serial_depth = 3;
   for (const int p : {2, 8}) {
     obs::TraceSession session;
-    const auto r = parallel_er_sim(g, cfg, p, {}, /*batch=*/1, &session);
+    const auto r = parallel_er_sim(g, cfg, p, {}, &session);
     ASSERT_EQ(session.total_dropped(), 0u);
     const obs::TraceReport rep = obs::analyze_trace(session.merged());
     expect_reconciles(r.waste, rep, /*check_ns=*/true);
@@ -101,7 +101,7 @@ TEST(WasteLedger, ThreadRuntimeReconcilesUnitCountsAndTracedNs) {
   cfg.serial_depth = 3;
   for (int run = 0; run < 3; ++run) {
     obs::TraceSession session;
-    const auto r = parallel_er_threads(g, cfg, /*threads=*/4, /*batch=*/2,
+    const auto r = parallel_er_threads(g, cfg, /*threads=*/4, /*batch=*/1,
                                        /*shards=*/1, &session);
     if (session.total_dropped() != 0) continue;  // replay would be partial
     const obs::TraceReport rep = obs::analyze_trace(session.merged());
@@ -117,11 +117,13 @@ TEST(WasteLedger, UntracedRunsCountUnitsButNoThreadNs) {
   core::EngineConfig cfg;
   cfg.search_depth = 5;
   cfg.serial_depth = 3;
-  const auto r = parallel_er_threads(g, cfg, /*threads=*/4, /*batch=*/2);
+  const auto r = parallel_er_threads(g, cfg, /*threads=*/4);
   EXPECT_EQ(r.waste.total_ns(), 0u);
   // The sim path on the same tree charges real (virtual) nanoseconds.
   const auto s = parallel_er_sim(g, cfg, 8);
-  if (s.waste.total_units() > 0) EXPECT_GT(s.waste.total_ns(), 0u);
+  if (s.waste.total_units() > 0) {
+    EXPECT_GT(s.waste.total_ns(), 0u);
+  }
 }
 
 TEST(WasteLedger, BandsAndCausesFoldIntoTotals) {
@@ -129,8 +131,6 @@ TEST(WasteLedger, BandsAndCausesFoldIntoTotals) {
   w.cancels[0][0] = 1;
   w.cancels[1][3] = 2;
   w.cancels[2][1] = 4;
-  w.cancels[3][2] = 8;
-  w.cancels[4][0] = 16;
   w.units[0][0] = 10;
   w.units[1][3] = 20;
   w.compute_ns[0][0] = 100;
@@ -138,9 +138,7 @@ TEST(WasteLedger, BandsAndCausesFoldIntoTotals) {
   EXPECT_EQ(w.cause_cancels(WasteCause::kBoundChange), 1u);
   EXPECT_EQ(w.cause_cancels(WasteCause::kSiblingResolution), 2u);
   EXPECT_EQ(w.cause_cancels(WasteCause::kDeadDrop), 4u);
-  EXPECT_EQ(w.cause_cancels(WasteCause::kSpecDemoted), 8u);
-  EXPECT_EQ(w.cause_cancels(WasteCause::kSpecRewindowed), 16u);
-  EXPECT_EQ(w.total_cancels(), 31u);
+  EXPECT_EQ(w.total_cancels(), 7u);
   EXPECT_EQ(w.total_units(), 30u);
   EXPECT_EQ(w.total_ns(), 300u);
   EXPECT_STREQ(core::waste_cause_name(WasteCause::kBoundChange),
@@ -148,45 +146,9 @@ TEST(WasteLedger, BandsAndCausesFoldIntoTotals) {
   EXPECT_STREQ(core::waste_cause_name(WasteCause::kSiblingResolution),
                "sibling_resolution");
   EXPECT_STREQ(core::waste_cause_name(WasteCause::kDeadDrop), "dead_drop");
-  EXPECT_STREQ(core::waste_cause_name(WasteCause::kSpecDemoted),
-               "spec_demoted");
-  EXPECT_STREQ(core::waste_cause_name(WasteCause::kSpecRewindowed),
-               "spec_rewindowed");
   EXPECT_EQ(core::waste_band_of(0), 0u);
   EXPECT_EQ(core::waste_band_of(2), 2u);
   EXPECT_EQ(core::waste_band_of(9), core::kWastePlyBands - 1);
-}
-
-TEST(WasteLedger, ReconcilesWithSpeculationControlOn) {
-  if (!obs::kTracingEnabled) GTEST_SKIP() << "tracing compiled out";
-  // With §17 pop-time demotion live the committed-work attribution (causes
-  // 0-2) must reconcile exactly as before, and the two new entry-level rows
-  // must mirror the engine's demote/re-window counters with no units or ns
-  // (nothing had run when the entry was re-pushed).  The trace replay counts
-  // the same events from the kSpecDemote/kSpecRewindow stream.
-  const UniformRandomTree g(5, 7, 41, -1000, 1000);
-  core::EngineConfig cfg;
-  cfg.search_depth = 7;
-  cfg.serial_depth = 5;
-  cfg.spec_rank = core::SpecRankPolicy::kStealAware;
-  cfg.spec_control.bound_demote = true;
-  for (const int p : {8, 16}) {
-    obs::TraceSession session;
-    const auto r = parallel_er_sim(g, cfg, p, {}, /*batch=*/1, &session);
-    ASSERT_EQ(session.total_dropped(), 0u);
-    const obs::TraceReport rep = obs::analyze_trace(session.merged());
-    expect_reconciles(r.waste, rep, /*check_ns=*/true);
-    EXPECT_EQ(r.waste.cause_cancels(WasteCause::kSpecDemoted),
-              r.engine.spec_demotions);
-    EXPECT_EQ(r.waste.cause_cancels(WasteCause::kSpecRewindowed),
-              r.engine.spec_rewindows);
-    EXPECT_EQ(rep.waste.demotions, r.engine.spec_demotions);
-    EXPECT_EQ(rep.waste.rewindows, r.engine.spec_rewindows);
-    EXPECT_EQ(r.waste.cause_units(WasteCause::kSpecDemoted), 0u);
-    EXPECT_EQ(r.waste.cause_ns(WasteCause::kSpecDemoted), 0u);
-    EXPECT_EQ(r.waste.cause_units(WasteCause::kSpecRewindowed), 0u);
-    EXPECT_EQ(r.waste.cause_ns(WasteCause::kSpecRewindowed), 0u);
-  }
 }
 
 }  // namespace

@@ -117,15 +117,13 @@ TEST(MetricsAdapters, SchedulerStatsFlattensUnderPrefix) {
   s.lock_acquisitions = 9;
   s.lock_wait_ns = 100;
   s.units = 12;
-  s.record_batch(3);
-  s.record_batch(9);
+  s.wakeups_issued = 2;
   s.sleeps = 3;
   MetricsRegistry reg;
   register_scheduler_stats(reg, s);
   EXPECT_EQ(reg.counter("sched.lock_acquisitions"), 9u);
   EXPECT_EQ(reg.counter("sched.units"), 12u);
-  EXPECT_EQ(reg.counter("sched.batches"), 2u);
-  EXPECT_EQ(reg.gauge("sched.mean_batch"), 6.0);
+  EXPECT_EQ(reg.counter("sched.wakeups_issued"), 2u);
   EXPECT_EQ(reg.counter("sched.sleeps"), 3u);
 }
 
@@ -133,18 +131,22 @@ TEST(SchedulerStats, MergeFoldsEveryField) {
   runtime::SchedulerStats a, b;
   a.lock_wait_ns = 5;
   a.compute_ns = 100;
-  a.record_batch(1);
+  a.units = 1;
+  a.compute_hist.record(100);
   b.lock_wait_ns = 7;
   b.compute_ns = 200;
-  b.record_batch(1);
+  b.units = 2;
+  b.compute_hist.record(100);
+  b.commit_hist.record(9);
   b.sleeps = 3;
   b.wakeups_issued = 1;
   a.merge(b);
   EXPECT_EQ(a.lock_wait_ns, 12u);
   EXPECT_EQ(a.compute_ns, 300u);
-  EXPECT_EQ(a.batches, 2u);
-  EXPECT_EQ(a.batch_hist.count(), 2u);
-  EXPECT_EQ(a.batch_hist.bucket(obs::Histogram::bucket_of(1)), 2u);
+  EXPECT_EQ(a.units, 3u);
+  EXPECT_EQ(a.compute_hist.count(), 2u);
+  EXPECT_EQ(a.compute_hist.bucket(obs::Histogram::bucket_of(100)), 2u);
+  EXPECT_EQ(a.commit_hist.count(), 1u);
   EXPECT_EQ(a.sleeps, 3u);
   EXPECT_EQ(a.wakeups_issued, 1u);
 }

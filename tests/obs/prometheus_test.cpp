@@ -47,7 +47,7 @@ TEST(Prometheus, ExpositionGolden) {
   h.record(1);   // bucket 1, upper 1
   h.record(3);   // bucket 2, upper 3
   h.record(3);
-  reg.put_histogram("sched.batch_size", h);
+  reg.put_histogram("sched.compute_span_ns", h);
 
   const std::string expected =
       "# HELP ers_run_info string-valued registry entries as labels\n"
@@ -62,14 +62,15 @@ TEST(Prometheus, ExpositionGolden) {
       "# HELP ers_efficiency registry entry efficiency\n"
       "# TYPE ers_efficiency gauge\n"
       "ers_efficiency 0.875\n"
-      "# HELP ers_sched_batch_size registry histogram sched.batch_size\n"
-      "# TYPE ers_sched_batch_size histogram\n"
-      "ers_sched_batch_size_bucket{le=\"0\"} 0\n"
-      "ers_sched_batch_size_bucket{le=\"1\"} 1\n"
-      "ers_sched_batch_size_bucket{le=\"3\"} 3\n"
-      "ers_sched_batch_size_bucket{le=\"+Inf\"} 3\n"
-      "ers_sched_batch_size_sum 7\n"
-      "ers_sched_batch_size_count 3\n";
+      "# HELP ers_sched_compute_span_ns registry histogram "
+      "sched.compute_span_ns\n"
+      "# TYPE ers_sched_compute_span_ns histogram\n"
+      "ers_sched_compute_span_ns_bucket{le=\"0\"} 0\n"
+      "ers_sched_compute_span_ns_bucket{le=\"1\"} 1\n"
+      "ers_sched_compute_span_ns_bucket{le=\"3\"} 3\n"
+      "ers_sched_compute_span_ns_bucket{le=\"+Inf\"} 3\n"
+      "ers_sched_compute_span_ns_sum 7\n"
+      "ers_sched_compute_span_ns_count 3\n";
   EXPECT_EQ(prometheus_text(reg), expected);
 }
 

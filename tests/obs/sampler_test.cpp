@@ -106,7 +106,7 @@ std::vector<obs::SampleRow> sampled_run(const UniformRandomTree& g,
         return row;
       },
       interval);
-  sim::SimExecutor<core::Engine<UniformRandomTree>> exec(4, {}, 1);
+  sim::SimExecutor<core::Engine<UniformRandomTree>> exec(4);
   exec.with_sampler(&sampler);
   const auto m = exec.run(engine);
   EXPECT_GT(m.makespan, 0u);

@@ -28,19 +28,17 @@ TEST(ThreadTrace, SpanTotalsAgreeWithRunReport) {
   if (!obs::kTracingEnabled) GTEST_SKIP() << "tracing compiled out";
   const UniformRandomTree g(4, 6, 11, -100, 100);
   const Value oracle = negmax_search(g, 6).value;
-  // 4 threads at batch 2.  A generous ring keeps the comparison exact (no
-  // drops).
+  // 4 threads.  A generous ring keeps the comparison exact (no drops).
   obs::TraceSession session(0, std::size_t{1} << 20);
   const auto r =
-      parallel_er_threads(g, cfg(6, 3), /*threads=*/4, /*batch=*/2,
+      parallel_er_threads(g, cfg(6, 3), /*threads=*/4, /*batch=*/1,
                           /*shards=*/1, &session);
   EXPECT_EQ(r.value, oracle);
   EXPECT_EQ(r.report.threads, 4);
   ASSERT_EQ(session.total_dropped(), 0u)
       << "raise the ring capacity: the exact comparison needs a full record";
 
-  std::uint64_t compute = 0, lock_wait = 0, lock_hold = 0, spans = 0,
-                batches = 0, committed = 0;
+  std::uint64_t compute = 0, lock_wait = 0, lock_hold = 0, spans = 0;
   for (int w = 0; w < session.worker_count(); ++w) {
     for (const obs::TraceEvent& e : session.worker(w).events()) {
       switch (e.kind) {
@@ -50,13 +48,14 @@ TEST(ThreadTrace, SpanTotalsAgreeWithRunReport) {
           break;
         case obs::EventKind::kLockWaitSpan: lock_wait += e.dur; break;
         case obs::EventKind::kLockHoldSpan: lock_hold += e.dur; break;
-        // record_batch pairs with kAcquireBatch.
-        case obs::EventKind::kAcquireBatch: ++batches; break;
-        case obs::EventKind::kCommitBatch: committed += e.arg; break;
         default: break;
       }
     }
   }
+  // The engine records one kUnitCommit per commit, on its own track.
+  std::uint64_t committed = 0;
+  for (const obs::TraceEvent& e : session.engine_tracer().events())
+    if (e.kind == obs::EventKind::kUnitCommit) ++committed;
   // Spans and SchedulerStats use the same Clock::now() readings, so the
   // totals are identical, not merely close.
   EXPECT_EQ(compute, r.report.sched.compute_ns);
@@ -66,14 +65,13 @@ TEST(ThreadTrace, SpanTotalsAgreeWithRunReport) {
   EXPECT_EQ(spans, r.report.sched.units);
   EXPECT_EQ(spans, r.report.units);
   EXPECT_EQ(committed, r.report.units);
-  EXPECT_EQ(batches, r.report.sched.batches);
 }
 
 TEST(ThreadTrace, AnalyzerSeesTheWholeRun) {
   if (!obs::kTracingEnabled) GTEST_SKIP() << "tracing compiled out";
   const UniformRandomTree g(4, 5, 23, -100, 100);
   obs::TraceSession session(0, std::size_t{1} << 20);
-  const auto r = parallel_er_threads(g, cfg(5, 2), 4, 2, 1, &session);
+  const auto r = parallel_er_threads(g, cfg(5, 2), 4, 1, 1, &session);
   ASSERT_EQ(session.total_dropped(), 0u);
   const obs::TraceReport rep = obs::analyze_trace(session.merged());
   // One row per worker up to the highest one that recorded an event: a

@@ -146,7 +146,6 @@ TEST(TraceAnalysis, RenderReportMentionsEverySection) {
   ev.push_back(instant(EventKind::kUnitCommit, 16, eng, 2, 1));
   const std::string text = render_report(analyze_trace(ev));
   EXPECT_NE(text.find("per-worker timeline"), std::string::npos);
-  EXPECT_NE(text.find("speculation control"), std::string::npos);
   EXPECT_NE(text.find("scheduling events"), std::string::npos);
   EXPECT_NE(text.find("critical path"), std::string::npos);
   EXPECT_NE(text.find("parallelism bound"), std::string::npos);

@@ -15,7 +15,7 @@ TEST(Tracer, RecordsEventsWithWorkerStamp) {
   if (!kTracingEnabled) GTEST_SKIP() << "tracing compiled out";
   Tracer t(3, 8);
   t.span(EventKind::kComputeSpan, 100, 250, /*node=*/7);
-  t.instant(EventKind::kAcquireBatch, 250, kNoTraceNode, /*arg=*/4);
+  t.instant(EventKind::kWakeup, 250, kNoTraceNode, /*arg=*/4);
   ASSERT_EQ(t.size(), 2u);
   const TraceEvent& s = t.events()[0];
   EXPECT_EQ(s.kind, EventKind::kComputeSpan);
@@ -110,8 +110,8 @@ TEST(SimTraceDeterminism, SameSeedAndConfigSameEventStream) {
   if (!kTracingEnabled) GTEST_SKIP() << "tracing compiled out";
   const UniformRandomTree g(4, 5, 99, -100, 100);
   TraceSession a, b;
-  const auto ra = parallel_er_sim(g, cfg(5, 3), 4, {}, 2, &a);
-  const auto rb = parallel_er_sim(g, cfg(5, 3), 4, {}, 2, &b);
+  const auto ra = parallel_er_sim(g, cfg(5, 3), 4, {}, &a);
+  const auto rb = parallel_er_sim(g, cfg(5, 3), 4, {}, &b);
   EXPECT_EQ(ra.value, rb.value);
   const auto ea = a.merged();
   const auto eb = b.merged();
@@ -126,8 +126,8 @@ TEST(SimTraceDeterminism, DifferentProcessorCountDifferentSchedule) {
   if (!kTracingEnabled) GTEST_SKIP() << "tracing compiled out";
   const UniformRandomTree g(4, 5, 99, -100, 100);
   TraceSession a, b;
-  (void)parallel_er_sim(g, cfg(5, 3), 2, {}, 1, &a);
-  (void)parallel_er_sim(g, cfg(5, 3), 8, {}, 1, &b);
+  (void)parallel_er_sim(g, cfg(5, 3), 2, {}, &a);
+  (void)parallel_er_sim(g, cfg(5, 3), 8, {}, &b);
   EXPECT_NE(a.merged(), b.merged());
 }
 
@@ -138,19 +138,19 @@ TEST(SimTrace, SpanTotalsMatchSimMetrics) {
   // nothing was dropped.
   const UniformRandomTree g(4, 5, 5, -100, 100);
   TraceSession s(0, std::size_t{1} << 20);
-  const auto r = parallel_er_sim(g, cfg(5, 3), 4, {}, 2, &s);
+  const auto r = parallel_er_sim(g, cfg(5, 3), 4, {}, &s);
   ASSERT_EQ(s.total_dropped(), 0u);
-  std::uint64_t lock_wait = 0, idle = 0, commits = 0, acquires = 0;
+  std::uint64_t lock_wait = 0, idle = 0, holds = 0;
   for (const TraceEvent& e : s.merged()) {
     if (e.kind == EventKind::kLockWaitSpan) lock_wait += e.dur;
     if (e.kind == EventKind::kSleepSpan) idle += e.dur;
-    if (e.kind == EventKind::kCommitBatch) ++commits;
-    if (e.kind == EventKind::kAcquireBatch) ++acquires;
+    if (e.kind == EventKind::kLockHoldSpan) ++holds;
   }
   EXPECT_EQ(lock_wait, r.metrics.lock_wait_time);
   EXPECT_EQ(idle, r.metrics.idle_time);
-  // Acquire + commit events = serialized heap accesses.
-  EXPECT_EQ(acquires + commits, r.metrics.heap_accesses);
+  // One lock-hold span per acquire and per commit = serialized heap
+  // accesses.
+  EXPECT_EQ(holds, r.metrics.heap_accesses);
 }
 
 }  // namespace

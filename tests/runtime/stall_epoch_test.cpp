@@ -37,10 +37,6 @@ class ScriptedEngine {
   struct Result {
     int unit = 0;
   };
-  struct CommitEntry {
-    Item item;
-    Result result;
-  };
 
   [[nodiscard]] std::size_t queued_count() const {
     std::scoped_lock lk(mu_);
@@ -72,7 +68,7 @@ class ScriptedEngine {
     return Result{item.unit};
   }
 
-  void commit(const Item& item, Result&& /*result*/) { apply(item.unit); }
+  void commit(const Item& item, const Result& /*result*/) { apply(item.unit); }
 
   /// The committer's first done() after unit 1 runs just after its
   /// in_flight drop: park it there until the missed acquirer decides.  The

@@ -62,8 +62,9 @@ TEST(MinimalTree, ShallowMinimalTreeContainsDeepMinimalTree) {
   const auto deep = classify_critical_nodes(t, MinimalTreeKind::kWithDeepCutoffs);
   const auto shallow = classify_critical_nodes(t, MinimalTreeKind::kShallowOnly);
   for (std::size_t i = 0; i < deep.size(); ++i) {
-    if (deep[i] != CriticalNodeType::kNotCritical)
+    if (deep[i] != CriticalNodeType::kNotCritical) {
       EXPECT_NE(shallow[i], CriticalNodeType::kNotCritical) << "node " << i;
+    }
   }
 }
 

@@ -92,44 +92,6 @@ TEST(Sim, HigherQueueCostIncreasesMakespan) {
   EXPECT_EQ(a.value, b.value) << "cost model must never affect the result";
 }
 
-TEST(Sim, BatchedScheduleStaysExactAndDeterministic) {
-  for (std::uint64_t seed = 0; seed < 4; ++seed) {
-    const UniformRandomTree g(4, 5, seed, -100, 100);
-    const auto k1 = parallel_er_sim(g, cfg(5, 3), 8);
-    for (const int batch : {2, 4, 8}) {
-      const auto a = parallel_er_sim(g, cfg(5, 3), 8, {}, batch);
-      const auto b = parallel_er_sim(g, cfg(5, 3), 8, {}, batch);
-      EXPECT_EQ(a.value, k1.value) << "seed=" << seed << " batch=" << batch;
-      EXPECT_EQ(a.metrics.makespan, b.metrics.makespan)
-          << "batched schedule must stay bit-reproducible";
-    }
-  }
-}
-
-TEST(Sim, BatchingReducesHeapAccesses) {
-  // The whole point: k units per serialized heap access instead of one.
-  const UniformRandomTree g(4, 5, 9, -100, 100);
-  const auto k1 = parallel_er_sim(g, cfg(5, 3), 8);
-  const auto k4 = parallel_er_sim(g, cfg(5, 3), 8, {}, 4);
-  EXPECT_LT(k4.metrics.heap_accesses, k1.metrics.heap_accesses);
-}
-
-TEST(Sim, BatchingReducesLockWaitUnderContention) {
-  // Pricey heap + many processors: the contention-bound regime the paper
-  // reports.  Batching must cut the share of time lost to the lock.
-  sim::CostModel pricey;
-  pricey.per_heap_acquire = 8;
-  pricey.per_heap_commit = 8;
-  const UniformRandomTree g(4, 5, 11, -100, 100);
-  const auto k1 = parallel_er_sim(g, cfg(5, 4), 16, pricey);
-  const auto k8 = parallel_er_sim(g, cfg(5, 4), 16, pricey, 8);
-  EXPECT_GT(k1.metrics.lock_wait_time, 0u) << "baseline must actually contend";
-  EXPECT_LT(static_cast<double>(k8.metrics.lock_wait_time) /
-                static_cast<double>(k8.metrics.makespan * 16),
-            static_cast<double>(k1.metrics.lock_wait_time) /
-                static_cast<double>(k1.metrics.makespan * 16));
-}
-
 TEST(Sim, CostModelOfCountsAllComponents) {
   sim::CostModel m;
   m.per_interior = 3;

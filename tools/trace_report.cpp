@@ -73,8 +73,6 @@ int print_memory_section(const std::string& path) {
       "engine.waste.sibling_resolution.units",
       "engine.waste.sibling_resolution.compute_ns",
       "engine.waste.dead_drop.cancels",
-      "engine.waste.spec_demoted.cancels",
-      "engine.waste.spec_rewindowed.cancels",
   };
   std::printf("\nwaste ledger (engine attribution, %s):\n", path.c_str());
   any = false;
