@@ -144,7 +144,8 @@ AlgoRun run_abdada(const G& game, const ers::core::EngineConfig& cfg,
 int main(int argc, char** argv) {
   using namespace ers;
   auto opt = bench::parse_options(argc, argv, {"O1", "O2", "O3", "R1", "R3"});
-  bench::print_header("ER vs ABDADA on identical positions (thread runtime)");
+  bench::print_header("ER vs ABDADA on identical positions (thread runtime)",
+                      bench::kRealThreads);
   std::printf("reps per configuration: %d\n\n", opt.reps);
 
   obs::TraceSession session;

@@ -1,13 +1,13 @@
 // Shared search knowledge (beyond the paper): the lock-free transposition
-// table compared across three modes on the Othello midgame suite with real
+// table compared across two modes on the Othello midgame suite with real
 // threads —
 //     none       no table (the paper's setup: workers share only the heap)
 //     shared     one ConcurrentTranspositionTable probed by every worker
-//     perthread  a private table per worker (same total probes, no sharing)
 // The interesting number is total nodes: a shared table lets one worker's
 // finished subtree cut off another's, so its node count should undercut
-// both controls as threads grow.  OS scheduling makes any single threaded
-// run noisy, so each configuration is averaged over --reps runs (default 5).
+// the tableless control as threads grow.  OS scheduling makes any single
+// threaded run noisy, so each configuration is averaged over --reps runs
+// (default 5).
 // Emits BENCH_ttable.json.
 
 #include <memory>
@@ -43,7 +43,6 @@ TtRun run_tt_mode(const G& game, ers::core::EngineConfig cfg, int threads,
     }
     core::Engine<G> engine(game, cfg);
     runtime::ThreadExecutor<core::Engine<G>> exec(threads);
-    if (mode == "perthread") exec.use_per_thread_tables(table_log2);
     const auto report = exec.run(engine);
     const auto& s = engine.stats().search;
     sum.value = engine.root_value();
@@ -65,7 +64,8 @@ int main(int argc, char** argv) {
   obs::MetricsRegistry reg;
   reg.set("bench", "contention");
 
-  bench::print_header("Shared transposition table (thread runtime, O1-O3)");
+  bench::print_header("Shared transposition table (thread runtime, O1-O3)",
+                      bench::kRealThreads);
   constexpr int kTableLog2 = 20;
   TextTable tt_table({"tree", "mode", "threads", "value", "nodes", "units",
                       "tt probes", "tt hit rate"});
@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
   std::uint64_t nodes_none_4t = 0, nodes_shared_4t = 0;
   for (const auto& name : {std::string("O1"), std::string("O2"), std::string("O3")}) {
     const auto base = harness::tree_by_name(name, opt.scale);
-    for (const char* mode : {"none", "shared", "perthread"}) {
+    for (const char* mode : {"none", "shared"}) {
       for (const int threads : {1, 2, 4, 8}) {
         const TtRun r = std::visit(
             [&](const auto& game) {
@@ -112,7 +112,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(nodes_shared_4t),
               nodes_shared_4t < nodes_none_4t ? "shared table searches less"
                                               : "NO REDUCTION");
-  bench::write_bench_json("ttable", opt.reps, tt_json);
+  bench::write_bench_json("ttable", opt.reps, tt_json, opt.json_out);
   bench::write_observability(opt, nullptr, reg, "contention");
   return 0;
 }

@@ -123,7 +123,8 @@ SchedRun run_config(const G& game, const ers::core::EngineConfig& cfg,
 int main(int argc, char** argv) {
   using namespace ers;
   auto opt = bench::parse_options(argc, argv, {"O1", "O2", "O3", "R1", "R3"});
-  bench::print_header("Problem-heap scheduling (thread runtime)");
+  bench::print_header("Problem-heap scheduling (thread runtime)",
+                      bench::kRealThreads);
   std::printf("reps per configuration: %d\n\n", opt.reps);
 
   obs::TraceSession session;

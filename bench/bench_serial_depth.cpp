@@ -226,7 +226,9 @@ void print_shape_table(int scale) {
 int main(int argc, char** argv) {
   using namespace ers;
   const auto opt = bench::parse_options(argc, argv, {"R3", "O1"});
-  bench::print_header("Serial-depth sweep: contention vs starvation ( 7)");
+  bench::print_header("Serial-depth sweep: contention vs starvation ( 7)",
+                      "simulated P-processor executor next to real-thread "
+                      "wall-clock times");
   std::printf("sim: 16 simulated processors; 1-thr/4-thr ms: fastest of %d "
               "real-thread solves\n\n",
               opt.reps);

@@ -162,9 +162,14 @@ inline TreeSweep run_sweep(const std::string& name, int scale,
   return s;
 }
 
-inline void print_header(const char* what) {
+/// Title banner.  `executor` names what produced the numbers below it: the
+/// simulator by default; benches timed on real threads pass kRealThreads.
+inline constexpr const char* kRealThreads = "real threads, wall-clock times";
+inline void print_header(
+    const char* what,
+    const char* executor = "simulated P-processor executor") {
   std::printf("\n=== %s ===\n", what);
-  std::printf("(simulated P-processor executor; see DESIGN.md / EXPERIMENTS.md)\n\n");
+  std::printf("(%s; see DESIGN.md / EXPERIMENTS.md)\n\n", executor);
 }
 
 // --- machine-readable summaries ------------------------------------------

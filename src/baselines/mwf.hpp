@@ -153,7 +153,6 @@ class MwfEngine {
   [[nodiscard]] bool done() const noexcept { return done_; }
   [[nodiscard]] Value root_value() const noexcept { return nodes_[0].value; }
   [[nodiscard]] const MwfStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] bool has_queued_work() const noexcept { return !queue_.empty(); }
 
  private:
   struct Node {

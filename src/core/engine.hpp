@@ -41,7 +41,9 @@
 //
 // acquire() and commit() are one lock section each, so a unit costs two, in
 // the paper's order: the acquire that pops it and the commit that applies
-// its result.
+// its result.  The engine counts the units in flight between the two, so
+// it alone decides quiescence: an acquire that finds nothing runnable,
+// nothing in flight and the root unfinished aborts as a stall.
 //
 // Work classification follows the paper exactly:
 //   * nodes at ply >= serial_depth are leaves of the *parallel* tree and are
@@ -221,16 +223,23 @@ class Engine {
   // --- executor protocol -------------------------------------------------
 
   /// Pop the next ready unit in one lock section; empty when nothing is
-  /// runnable right now.
+  /// runnable right now.  The engine counts the units it has handed out,
+  /// so an empty pop with none of them outstanding and the root unfinished
+  /// is a stall — nothing could ever queue work again — and aborts with a
+  /// dump of the unfinished nodes.  Every field that decision reads changes
+  /// only under mu_, so it is exact on any schedule.
   [[nodiscard]] std::optional<WorkItem> acquire() {
     const auto t0 = Clock::now();
     std::unique_lock lk(mu_);
     const auto t1 = Clock::now();
     const std::optional<WorkItem> item = pop_ready();
+    if (item) ++in_flight_;
+    const bool stalled = !item && in_flight_ == 0 && !done();
     const auto t2 = Clock::now();
     count_lock_section(t0, t1, t2);
     lk.unlock();
     trace_lock_section(t0, t1, t2);
+    if (stalled) fail_stalled();
     return item;
   }
 
@@ -348,17 +357,8 @@ class Engine {
   /// Pure phase; safe to run concurrently with acquire/commit on other
   /// items.  Reads only fields frozen while the item is in flight.
   [[nodiscard]] ComputeResult compute(const WorkItem& item) const {
-    return compute(item, cfg_.shared_table);
-  }
-
-  /// As above, with an explicit transposition table overriding the
-  /// configured one (the thread runtime's per-worker-table mode hands each
-  /// worker its private table).  The table is only read/written here, never
-  /// by acquire/commit, so concurrent compute calls share it freely.
-  [[nodiscard]] ComputeResult compute(const WorkItem& item,
-                                      ConcurrentTranspositionTable* tt) const {
     ComputeResult out;
-    compute_into(item, tt, out);
+    compute_into(item, out);
     return out;
   }
 
@@ -366,13 +366,11 @@ class Engine {
   /// vector is cleared but keeps its capacity, so an executor that recycles
   /// ComputeResults across units makes the expansion path allocation-free
   /// at steady state (the commit side *copies* child positions into the
-  /// cold slab, so the buffer always comes back intact).
+  /// cold slab, so the buffer always comes back intact).  The shared
+  /// transposition table is only read/written here, never by
+  /// acquire/commit, so concurrent compute calls share it freely.
   void compute_into(const WorkItem& item, ComputeResult& out) const {
-    compute_into(item, cfg_.shared_table, out);
-  }
-
-  void compute_into(const WorkItem& item, ConcurrentTranspositionTable* tt,
-                    ComputeResult& out) const {
+    ConcurrentTranspositionTable* const tt = cfg_.shared_table;
     // Use the pointers captured under the lock: indexing nodes_ or
     // positions_ here would race with commits growing the arenas on other
     // threads.
@@ -564,50 +562,47 @@ class Engine {
                    ColdRecord::kLiveMagic);
   }
 
-  /// True if no work is queued.  An executor observing has_queued_work() ==
-  /// false, done() == false and no in-flight items has found a scheduling
-  /// bug.
-  [[nodiscard]] bool has_queued_work() const {
-    std::scoped_lock lk(mu_);
-    return !primary_.empty() || !spec_.empty();
-  }
-
-  /// Diagnostic dump of all unfinished, non-dead nodes under a queue
-  /// occupancy summary (used by the executors' stall reports; see
-  /// tests/core/engine_test.cpp).  Takes the lock; callers must not hold
-  /// it.
-  void debug_dump_unfinished(std::FILE* out) const {
-    std::scoped_lock lk(mu_);
-    std::size_t unfinished = 0;
-    for (std::uint32_t id = 0; id < nodes_.size(); ++id)
-      if (!nodes_[id].finished && !is_dead(id)) ++unfinished;
-    std::fprintf(out, "primary %zu spec %zu unfinished %zu\n",
-                 primary_.size(), spec_.size(), unfinished);
-    for (std::uint32_t id = 0; id < nodes_.size(); ++id) {
-      const Node& n = nodes_[id];
-      if (n.finished || is_dead(id)) continue;
-      std::fprintf(
-          out,
-          "node %u parent %d ply %d type %d value %d gen %d fin %d "
-          "elder %d d %d e_ch %d partial %d expanded %d inprim %d inflight %d "
-          "first_e %d e_eval %d seqref %d\n",
-          id, static_cast<int>(n.parent), n.ply, static_cast<int>(n.type),
-          static_cast<int>(n.value), n.generated(), n.finished_children(),
-          n.elder_done(), child_count(n), n.e_children(),
-          n.partial() ? 1 : 0, n.expanded() ? 1 : 0, n.in_primary ? 1 : 0,
-          n.in_flight ? 1 : 0, n.first_e_selected() ? 1 : 0,
-          n.e_child_evaluated() ? 1 : 0, static_cast<int>(n.seq_refuting()));
-    }
-  }
-
  private:
   using Clock = std::chrono::steady_clock;
+
+  /// acquire()'s stall abort: dump every unfinished, non-dead node under a
+  /// queue occupancy summary to stderr, then fail.  Takes the lock; the
+  /// caller must not hold it.
+  [[noreturn]] void fail_stalled() const {
+    {
+      std::scoped_lock lk(mu_);
+      std::size_t unfinished = 0;
+      for (std::uint32_t id = 0; id < nodes_.size(); ++id)
+        if (!nodes_[id].finished && !is_dead(id)) ++unfinished;
+      std::fprintf(stderr,
+                   "Engine stall: no queued work, 0 units in flight, root "
+                   "unfinished.  primary %zu spec %zu unfinished %zu\n",
+                   primary_.size(), spec_.size(), unfinished);
+      for (std::uint32_t id = 0; id < nodes_.size(); ++id) {
+        const Node& n = nodes_[id];
+        if (n.finished || is_dead(id)) continue;
+        std::fprintf(
+            stderr,
+            "node %u parent %d ply %d type %d value %d gen %d fin %d "
+            "elder %d d %d e_ch %d partial %d expanded %d inprim %d "
+            "inflight %d first_e %d e_eval %d seqref %d\n",
+            id, static_cast<int>(n.parent), n.ply, static_cast<int>(n.type),
+            static_cast<int>(n.value), n.generated(), n.finished_children(),
+            n.elder_done(), child_count(n), n.e_children(),
+            n.partial() ? 1 : 0, n.expanded() ? 1 : 0, n.in_primary ? 1 : 0,
+            n.in_flight ? 1 : 0, n.first_e_selected() ? 1 : 0,
+            n.e_child_evaluated() ? 1 : 0, static_cast<int>(n.seq_refuting()));
+      }
+    }
+    ERS_CHECK(!"problem-heap engine stalled");
+  }
 
   // --- commit application (mu_ held) ---------------------------------------
 
   void commit_one(const WorkItem& item, const ComputeResult& r) {
     Node& n = nodes_[item.node];
     n.in_flight = false;
+    --in_flight_;
     stats_.search += r.stats;
     ++stats_.units_processed;
     // Waste ledger (DESIGN.md §16).  A unit landing in a live subtree adds
@@ -1545,6 +1540,8 @@ class Engine {
   std::priority_queue<SpecEntry> spec_;
   /// Push sequence for the LIFO/FIFO tiebreaks.
   std::uint64_t seq_ = 0;
+  /// Units acquired and not yet committed (acquire()'s stall check).
+  std::uint32_t in_flight_ = 0;
   ColdSlab slab_;
   std::uint64_t cold_allocated_ = 0;  ///< cold records ever allocated
   std::uint64_t cold_live_ = 0;       ///< currently attached

@@ -94,9 +94,19 @@ TEST_P(EngineEquivalence, SimMatchesNegmax) {
 std::string engine_case_name(
     const ::testing::TestParamInfo<EngineEquivalence::ParamType>& info) {
   const auto& [c, seed] = info.param;
-  return "d" + std::to_string(c.degree) + "h" + std::to_string(c.height) +
-         "sd" + std::to_string(c.serial_depth) + "p" +
-         std::to_string(c.processors) + "s" + std::to_string(seed);
+  // append, not operator+: g++ 12 -O3 flags "d" + std::to_string(...) with a
+  // false -Wrestrict.
+  std::string name("d");
+  name.append(std::to_string(c.degree))
+      .append("h")
+      .append(std::to_string(c.height))
+      .append("sd")
+      .append(std::to_string(c.serial_depth))
+      .append("p")
+      .append(std::to_string(c.processors))
+      .append("s")
+      .append(std::to_string(seed));
+  return name;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -209,6 +219,20 @@ TEST(Engine, StatsAreInternallyConsistent) {
   EXPECT_GT(r.engine.serial_units, 0u);
   EXPECT_GT(r.engine.search.leaves_evaluated, 0u);
   EXPECT_EQ(r.metrics.units, r.engine.units_processed);
+}
+
+TEST(Engine, MissWithAUnitInFlightIsNotAStall) {
+  // Nothing queued but the root in flight: the miss is a wait, not a stall,
+  // and committing the root queues its children.
+  const UniformRandomTree g(4, 4, 5, -50, 50);
+  core::Engine<UniformRandomTree> engine(g, config_for(4, 2));
+  const auto root = engine.acquire();
+  ASSERT_TRUE(root.has_value());
+  EXPECT_FALSE(engine.acquire().has_value());
+  engine.commit(*root, engine.compute(*root));
+  const auto child = engine.acquire();
+  ASSERT_TRUE(child.has_value());
+  EXPECT_NE(child->node, 0u);
 }
 
 TEST(Engine, QueuedCountReflectsQueues) {

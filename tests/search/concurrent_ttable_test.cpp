@@ -238,18 +238,5 @@ TEST(SharedTtParallelEr, ExecutorReportsHitRate) {
   EXPECT_LE(report.tt_hit_rate(), 1.0);
 }
 
-TEST(SharedTtParallelEr, PerThreadTablesStillCorrect) {
-  // The bench's control mode: private tables, no sharing.  Value must still
-  // match and probes are still counted.
-  const othello::OthelloGame g(othello::paper_position(1));
-  const Value oracle = alpha_beta_search(g, 5).value;
-  core::Engine<othello::OthelloGame> engine(g, cfg(5, 3, nullptr));
-  runtime::ThreadExecutor<core::Engine<othello::OthelloGame>> exec(4);
-  exec.use_per_thread_tables(14);
-  const auto report = exec.run(engine);
-  EXPECT_EQ(engine.root_value(), oracle);
-  EXPECT_GT(report.tt_probes, 0u);
-}
-
 }  // namespace
 }  // namespace ers

@@ -50,8 +50,17 @@ TEST_P(SerialEquivalence, AllAlgorithmsAgreeWithNegmax) {
 std::string shape_name(
     const ::testing::TestParamInfo<SerialEquivalence::ParamType>& info) {
   const auto& [shape, seed] = info.param;
-  return "d" + std::to_string(shape.degree) + "h" + std::to_string(shape.height) +
-         "r" + std::to_string(shape.value_range) + "s" + std::to_string(seed);
+  // append, not operator+: g++ 12 -O3 flags "d" + std::to_string(...) with a
+  // false -Wrestrict.
+  std::string name("d");
+  name.append(std::to_string(shape.degree))
+      .append("h")
+      .append(std::to_string(shape.height))
+      .append("r")
+      .append(std::to_string(shape.value_range))
+      .append("s")
+      .append(std::to_string(seed));
+  return name;
 }
 
 INSTANTIATE_TEST_SUITE_P(
