@@ -1,6 +1,6 @@
 // Shared search knowledge (beyond the paper): the lock-free transposition
-// table compared across two modes on the Othello midgame suite with real
-// threads —
+// table compared across two modes on the Othello midgame suite (or the
+// --trees given) with real threads —
 //     none       no table (the paper's setup: workers share only the heap)
 //     shared     one ConcurrentTranspositionTable probed by every worker
 // The interesting number is total nodes: a shared table lets one worker's
@@ -64,14 +64,17 @@ int main(int argc, char** argv) {
   obs::MetricsRegistry reg;
   reg.set("bench", "contention");
 
-  bench::print_header("Shared transposition table (thread runtime, O1-O3)",
+  bench::print_header("Shared transposition table (thread runtime)",
                       bench::kRealThreads);
   constexpr int kTableLog2 = 20;
   TextTable tt_table({"tree", "mode", "threads", "value", "nodes", "units",
                       "tt probes", "tt hit rate"});
   std::vector<std::string> tt_json;
   std::uint64_t nodes_none_4t = 0, nodes_shared_4t = 0;
-  for (const auto& name : {std::string("O1"), std::string("O2"), std::string("O3")}) {
+  std::string trees_run;  // "O1+O2+O3" for the default run
+  for (const auto& name : opt.tree_names) {
+    if (!trees_run.empty()) trees_run += '+';
+    trees_run += name;
     const auto base = harness::tree_by_name(name, opt.scale);
     for (const char* mode : {"none", "shared"}) {
       for (const int threads : {1, 2, 4, 8}) {
@@ -107,7 +110,8 @@ int main(int argc, char** argv) {
     }
   }
   tt_table.print();
-  std::printf("\nO1+O2+O3 nodes at 4 threads: none=%llu shared=%llu (%s)\n",
+  std::printf("\n%s nodes at 4 threads: none=%llu shared=%llu (%s)\n",
+              trees_run.c_str(),
               static_cast<unsigned long long>(nodes_none_4t),
               static_cast<unsigned long long>(nodes_shared_4t),
               nodes_shared_4t < nodes_none_4t ? "shared table searches less"

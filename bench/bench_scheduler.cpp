@@ -13,11 +13,10 @@
 // serial alpha-beta at every thread count.
 //
 // Emits BENCH_scheduler.json (schema: bench/reps stamps + one row per
-// configuration).  It is also the run the CI trace and telemetry lanes
-// record (--trace, --metrics, --prom-out, --sample-ms).
+// configuration).  It is also the run the CI trace lane records (--trace,
+// --metrics).
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <variant>
 #include <vector>
@@ -43,8 +42,7 @@ template <typename G>
 SchedRun run_config(const G& game, const ers::core::EngineConfig& cfg,
                     int threads, int reps, ers::Value oracle,
                     ers::obs::TraceSession* trace,
-                    ers::obs::MetricsRegistry* reg, int sample_ms,
-                    std::unique_ptr<ers::obs::Sampler>* sampler_out) {
+                    ers::obs::MetricsRegistry* reg) {
   using namespace ers;
   SchedRun sum;
   std::uint64_t lock_acqs = 0;
@@ -59,36 +57,7 @@ SchedRun run_config(const G& game, const ers::core::EngineConfig& cfg,
     core::Engine<G> engine(game, run_cfg);
     runtime::ThreadExecutor<core::Engine<G>> exec(threads);
     exec.with_trace(traced ? trace : nullptr);
-    // Live sampling (--sample-ms): a background thread snapshots the
-    // engine's own thread-safe observers while the run executes.  Like the
-    // trace, only the last rep is sampled and the sweep's last
-    // configuration wins the file.
-    std::unique_ptr<obs::Sampler> sampler;
-    if (sample_ms > 0 && rep == reps - 1) {
-      sampler = std::make_unique<obs::Sampler>(
-          [&engine] {
-            obs::SampleRow row;
-            const auto st = engine.stats();
-            const auto mem = engine.mem_stats();
-            const auto w = engine.waste_stats();
-            row.units = st.units_processed;
-            row.nodes = st.search.nodes_generated();
-            row.live_nodes = mem.live_nodes;
-            row.queued = engine.queued_count();
-            row.waste_units = w.total_units();
-            row.waste_ns = w.total_ns();
-            row.tt_probes = st.search.tt_probes;
-            row.tt_hits = st.search.tt_hits;
-            return row;
-          },
-          static_cast<std::uint64_t>(sample_ms) * 1'000'000ull);
-      sampler->start();
-    }
     const auto report = exec.run(engine);
-    if (sampler != nullptr) {
-      sampler->stop();  // ring is safe to read / hand off from here
-      if (sampler_out != nullptr) *sampler_out = std::move(sampler);
-    }
     if (traced && reg != nullptr) obs::register_thread_report(*reg, report);
     ERS_CHECK(engine.root_value() == oracle &&
               "thread runtime changed the search result");
@@ -131,7 +100,6 @@ int main(int argc, char** argv) {
   obs::TraceSession* trace = bench::trace_session_for(opt, session);
   obs::MetricsRegistry reg;
   reg.set("bench", "scheduler");
-  std::unique_ptr<obs::Sampler> sampler;  // last sampled configuration
   TextTable table({"tree", "threads", "units/s", "lock share", "locks/unit",
                    "nodes", "value"});
   std::vector<std::string> json;
@@ -148,7 +116,7 @@ int main(int argc, char** argv) {
       const SchedRun r = std::visit(
           [&](const auto& game) {
             return run_config(game, base.engine, threads, opt.reps, oracle,
-                              trace, &reg, opt.sample_ms, &sampler);
+                              trace, &reg);
           },
           base.game);
       reg.set("tree", base.name);
@@ -174,6 +142,5 @@ int main(int argc, char** argv) {
   table.print();
   bench::write_bench_json("scheduler", opt.reps, json, opt.json_out);
   bench::write_observability(opt, trace, reg, "scheduler");
-  if (sampler != nullptr) sampler->write_json(opt.sample_sink());
   return 0;
 }

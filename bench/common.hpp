@@ -13,11 +13,6 @@
 //   --json-out F write the BENCH rows to F instead of BENCH_<name>.json —
 //               what the CI bench guard uses to keep the fresh run from
 //               clobbering the committed baseline it diffs against
-//   --prom-out F write the metrics snapshot in Prometheus text exposition
-//               to F (DESIGN.md §16; lint with tools/check_prom_format.py)
-//   --sample-ms N sample live search-health counters every N ms into a
-//               time-series ring (0 = off)
-//   --sample-out F write the sampled time series (JSON) to F
 
 #include <cstdio>
 #include <string>
@@ -28,8 +23,6 @@
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/metrics_adapters.hpp"
-#include "obs/prometheus.hpp"
-#include "obs/sampler.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_writer.hpp"
 #include "util/cli.hpp"
@@ -44,16 +37,6 @@ struct FigureOptions {
   std::string trace_path;    ///< empty = untraced (--trace)
   std::string metrics_path;  ///< empty = no snapshot (--metrics)
   std::string json_out;      ///< empty = default BENCH_<name>.json (--json-out)
-  std::string prom_out;      ///< empty = no Prometheus exposition (--prom-out)
-  int sample_ms = 0;         ///< live-sampling interval; 0 = off (--sample-ms)
-  std::string sample_out;    ///< time-series JSON path (--sample-out)
-
-  /// Live sampling is on when an interval was asked for; the default sink
-  /// is samples.json next to the other artifacts.
-  [[nodiscard]] bool sampling() const noexcept { return sample_ms > 0; }
-  [[nodiscard]] std::string sample_sink() const {
-    return sample_out.empty() ? "samples.json" : sample_out;
-  }
 };
 
 inline FigureOptions parse_options(int argc, char** argv,
@@ -65,9 +48,6 @@ inline FigureOptions parse_options(int argc, char** argv,
   opt.trace_path = args.get("trace", "");
   opt.metrics_path = args.get("metrics", "");
   opt.json_out = args.get("json-out", "");
-  opt.prom_out = args.get("prom-out", "");
-  opt.sample_ms = static_cast<int>(args.get_int("sample-ms", 0));
-  opt.sample_out = args.get("sample-out", "");
   std::string trees = args.get("trees", "");
   if (trees.empty()) {
     opt.tree_names = std::move(default_trees);
@@ -106,7 +86,6 @@ inline void write_observability(const FigureOptions& opt,
                    "or this bench runs no executor\n");
   }
   if (!opt.metrics_path.empty()) metrics.write_json(opt.metrics_path);
-  if (!opt.prom_out.empty()) obs::write_prometheus(opt.prom_out, metrics);
 }
 
 /// Flatten one simulated parallel point into a registry (overwrites on
@@ -131,14 +110,12 @@ struct TreeSweep {
 
 /// Standard observability epilogue for the simulated sweep benches:
 /// snapshot the last sweep's final parallel point into a registry and
-/// flush the --trace / --metrics / --prom-out artifacts.
+/// flush the --trace / --metrics artifacts.
 inline void write_sweep_observability(const FigureOptions& opt,
                                       const obs::TraceSession* trace,
                                       const TreeSweep& sweep,
                                       const std::string& process_name) {
-  if (opt.trace_path.empty() && opt.metrics_path.empty() &&
-      opt.prom_out.empty())
-    return;
+  if (opt.trace_path.empty() && opt.metrics_path.empty()) return;
   obs::MetricsRegistry reg;
   reg.set("bench", process_name);
   reg.set("tree", sweep.tree.name);

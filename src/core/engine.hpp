@@ -513,7 +513,6 @@ class Engine {
   }
 
   /// Snapshot of the wasted-work attribution ledger (DESIGN.md §16).
-  /// Cheap enough for the sampler to call every tick.
   [[nodiscard]] EngineWasteStats waste_stats() const {
     std::scoped_lock lk(mu_);
     return waste_;

@@ -13,7 +13,6 @@
 #include "core/engine.hpp"
 #include "core/types.hpp"
 #include "gametree/game.hpp"
-#include "obs/sampler.hpp"
 #include "obs/trace.hpp"
 #include "runtime/thread_executor.hpp"
 #include "search/concurrent_ttable.hpp"
@@ -90,20 +89,16 @@ template <Game G>
 /// `trace` (optional) records the simulated schedule on the virtual clock
 /// in the same event schema as the thread runtime — same seed + config
 /// produce an identical event stream (tested).
-/// `sampler` (optional) is polled on the virtual clock at each retired
-/// event, yielding a deterministic health time series (DESIGN.md §16);
-/// the caller installs the probe and reads the ring afterwards.
 template <Game G>
 [[nodiscard]] SimulatedSearchResult<typename G::Position> parallel_er_sim(
     const G& game, const core::EngineConfig& cfg, int processors,
-    sim::CostModel cost = {}, obs::TraceSession* trace = nullptr,
-    obs::Sampler* sampler = nullptr) {
+    sim::CostModel cost = {}, obs::TraceSession* trace = nullptr) {
   core::EngineConfig c = cfg;
   c.trace = trace;
   if (c.shared_table != nullptr) c.shared_table->new_search();
   core::Engine<G> engine(game, c);
   sim::SimExecutor<core::Engine<G>> exec(processors, cost);
-  exec.with_trace(trace).with_sampler(sampler);
+  exec.with_trace(trace);
   const sim::SimMetrics m = exec.run(engine);
   return SimulatedSearchResult<typename G::Position>{
       engine.root_value(), engine.stats(), m, engine.mem_stats(),

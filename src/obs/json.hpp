@@ -50,7 +50,12 @@ inline std::string json_escape(const std::string& s) {
 class JsonObject {
  public:
   JsonObject& field(const char* key, const char* v) {
-    return raw(key, "\"" + json_escape(v) + "\"");
+    // Appended piecewise: GCC 12 flags the operator+ chain with a
+    // -Wrestrict false positive once this is inlined into a caller.
+    std::string quoted(1, '"');
+    quoted.append(json_escape(v));
+    quoted.push_back('"');
+    return raw(key, quoted);
   }
   JsonObject& field(const char* key, const std::string& v) {
     return field(key, v.c_str());

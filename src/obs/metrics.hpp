@@ -13,11 +13,6 @@
 // Registries now carry hundreds of entries per bench, so lookups go through
 // a name→index hash map; `entries_` keeps insertion order and remains the
 // single serialization source, so snapshot bytes are unchanged.
-//
-// Histograms (obs/histogram.hpp) register whole: the JSON snapshot flattens
-// each one to <name>.count/.sum/.p50/.p90/.p99 (appended after the scalar
-// entries, in histogram insertion order), while the Prometheus exposition
-// (obs/prometheus.hpp) renders the full cumulative `le` bucket series.
 
 #include <cstdint>
 #include <cstdio>
@@ -26,7 +21,6 @@
 #include <variant>
 #include <vector>
 
-#include "obs/histogram.hpp"
 #include "obs/json.hpp"
 
 namespace ers::obs {
@@ -83,26 +77,7 @@ class MetricsRegistry {
 
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
 
-  /// Register (or overwrite) a whole histogram under `name`.  Stored by
-  /// value: the scheduler's per-worker instances are merged and gone by the
-  /// time a bench snapshots them.
-  void put_histogram(const std::string& name, const Histogram& h) {
-    const auto it = hist_index_.find(name);
-    if (it != hist_index_.end()) {
-      histograms_[it->second].second = h;
-      return;
-    }
-    hist_index_.emplace(name, histograms_.size());
-    histograms_.emplace_back(name, h);
-  }
-
-  [[nodiscard]] const std::vector<std::pair<std::string, Histogram>>&
-  histograms() const noexcept {
-    return histograms_;
-  }
-
-  /// One flat JSON object: every scalar entry in insertion order, then each
-  /// histogram's count/sum/percentile summary.
+  /// One flat JSON object: every entry in insertion order.
   [[nodiscard]] std::string to_json() const {
     JsonObject o;
     for (const auto& [k, v] : entries_) {
@@ -114,13 +89,6 @@ class MetricsRegistry {
         o.field(k.c_str(), std::get<double>(v));
       else
         o.field(k.c_str(), std::get<std::string>(v));
-    }
-    for (const auto& [k, h] : histograms_) {
-      o.field((k + ".count").c_str(), h.count());
-      o.field((k + ".sum").c_str(), h.sum());
-      o.field((k + ".p50").c_str(), h.p50());
-      o.field((k + ".p90").c_str(), h.p90());
-      o.field((k + ".p99").c_str(), h.p99());
     }
     return o.str();
   }
@@ -158,8 +126,6 @@ class MetricsRegistry {
 
   std::vector<std::pair<std::string, Value>> entries_;
   std::unordered_map<std::string, std::size_t> index_;
-  std::vector<std::pair<std::string, Histogram>> histograms_;
-  std::unordered_map<std::string, std::size_t> hist_index_;
 };
 
 }  // namespace ers::obs

@@ -29,12 +29,6 @@ inline void register_scheduler_stats(MetricsRegistry& reg,
   reg.set(prefix + "units", s.units);
   reg.set(prefix + "wakeups_issued", s.wakeups_issued);
   reg.set(prefix + "sleeps", s.sleeps);
-  // Streaming histograms (DESIGN.md §16): compute-span and commit latencies,
-  // only on traced runs (the untraced hot path never reads the clock).
-  if (s.compute_hist.count() > 0)
-    reg.put_histogram(prefix + "compute_span_ns", s.compute_hist);
-  if (s.commit_hist.count() > 0)
-    reg.put_histogram(prefix + "commit_latency_ns", s.commit_hist);
 }
 
 /// Node-storage occupancy gauges (DESIGN.md §15): arena/slab footprint and
@@ -108,10 +102,6 @@ inline void register_sim_metrics(MetricsRegistry& reg,
   reg.set(prefix + "units", m.units);
   reg.set(prefix + "heap_accesses", m.heap_accesses);
   reg.set(prefix + "utilization", m.utilization());
-  // Simulated runs always carry exact per-unit durations, so both
-  // histograms are populated (virtual-clock units).
-  reg.put_histogram(prefix + "compute_span_ns", m.compute_hist);
-  reg.put_histogram(prefix + "commit_latency_ns", m.commit_hist);
 }
 
 inline void register_engine_stats(MetricsRegistry& reg,

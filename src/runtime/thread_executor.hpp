@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "core/types.hpp"
-#include "obs/histogram.hpp"
 #include "obs/trace.hpp"
 #include "runtime/worker_pool.hpp"
 #include "util/check.hpp"
@@ -46,8 +45,10 @@ namespace ers::runtime {
 /// Per-worker scheduler observability, merged across workers into the run
 /// report.  Times come from steady_clock; on a loaded machine lock_wait_ns
 /// includes preemption of the lock holder, which is precisely the
-/// interference a real shared heap suffers.
-struct SchedulerStats {
+/// interference a real shared heap suffers.  Cache-line aligned: each
+/// worker bumps its own block once per unit, and the blocks sit side by
+/// side in one vector.
+struct alignas(64) SchedulerStats {
   /// Engine lock sections.  Workers hold no executor-side engine mutex, so
   /// these three stay zero in the per-worker blocks and are populated by
   /// folding the engine's own EngineLockStats into the aggregate once every
@@ -63,14 +64,6 @@ struct SchedulerStats {
   std::uint64_t units = 0;         ///< work units computed and committed
   std::uint64_t wakeups_issued = 0;  ///< targeted notify_one calls
   std::uint64_t sleeps = 0;          ///< times a worker parked on the cv
-  /// Distribution views (obs/histogram.hpp), per-worker single-writer and
-  /// merged exactly like the scalar counters.  compute_hist records
-  /// per-unit compute-span ns and commit_hist per-unit commit latency ns —
-  /// both filled only while a trace session is attached, from the same
-  /// clock readings the spans and compute_ns use, keeping the untraced hot
-  /// path free of per-unit clock reads.
-  obs::Histogram compute_hist;
-  obs::Histogram commit_hist;
 
   /// The one way per-worker blocks fold into an aggregate (the executor and
   /// every bench go through here, never field-by-field addition).
@@ -82,8 +75,6 @@ struct SchedulerStats {
     units += o.units;
     wakeups_issued += o.wakeups_issued;
     sleeps += o.sleeps;
-    compute_hist.merge(o.compute_hist);
-    commit_hist.merge(o.commit_hist);
   }
 };
 
@@ -264,14 +255,11 @@ class ThreadExecutor {
           const auto c1 = Clock::now();
           const std::uint64_t cns = ns(c0, c1);
           st.compute_ns += cns;
-          st.compute_hist.record(cns);
           result.compute_ns = cns;
           tr->span(obs::EventKind::kComputeSpan, trace_->to_ns(c0),
                    trace_->to_ns(c1), item->node);
           trace_tt(*tr, trace_->to_ns(c1), item->node, result);
-          const auto f0 = Clock::now();
           engine.commit(*item, result);
-          st.commit_hist.record(ns(f0, Clock::now()));
         }
         ++st.units;
       }

@@ -41,11 +41,34 @@
 #include <cstdint>
 #include <vector>
 
-#include "search/ttable.hpp"
 #include "util/check.hpp"
 #include "util/value.hpp"
 
 namespace ers {
+
+enum class BoundKind : std::uint8_t { kExact, kLower, kUpper };
+
+/// A validated probe result.
+struct TtHit {
+  Value value = 0;
+  int depth = -1;  ///< remaining depth the value is valid for
+  BoundKind bound = BoundKind::kExact;
+  /// Best-move fingerprint: the low 14 bits of the best child's hash key,
+  /// or 0 when the store recorded none (fail-low results).  Ordering
+  /// matches it against each child's own key fingerprint to front the TT
+  /// move — a fingerprint, not an index, so a hint is never misapplied
+  /// across move-generation orders.
+  std::uint16_t move_hint = 0;
+};
+
+/// Fail-hard bound classification of a search result `v` obtained within
+/// the window (alpha, beta) — what a table entry for it should claim.
+[[nodiscard]] constexpr BoundKind classify_bound(Value v, Value alpha,
+                                                 Value beta) noexcept {
+  return v >= beta    ? BoundKind::kLower
+         : v <= alpha ? BoundKind::kUpper
+                      : BoundKind::kExact;
+}
 
 class ConcurrentTranspositionTable {
  public:

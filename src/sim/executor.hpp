@@ -31,8 +31,6 @@
 #include <utility>
 #include <vector>
 
-#include "obs/histogram.hpp"
-#include "obs/sampler.hpp"
 #include "obs/trace.hpp"
 #include "sim/cost_model.hpp"
 #include "util/check.hpp"
@@ -46,12 +44,6 @@ struct SimMetrics {
   std::uint64_t lock_wait_time = 0;  ///< total time blocked on the heap lock
   std::uint64_t units = 0;           ///< work units completed
   std::uint64_t heap_accesses = 0;   ///< serialized heap ops (acquire+commit)
-  /// Distribution views of the run (obs/histogram.hpp), mirroring the
-  /// thread scheduler's pair: per-unit compute cost and per-unit commit
-  /// latency (completion to processor freed: lock wait + apply).
-  /// Deterministic under the virtual clock.
-  obs::Histogram compute_hist;
-  obs::Histogram commit_hist;
   int processors = 0;
 
   /// Fraction of processor-time that did useful work.
@@ -79,16 +71,6 @@ class SimExecutor {
   /// trace hooks.  Deterministic: same engine + config ⇒ identical events.
   SimExecutor& with_trace(obs::TraceSession* session) noexcept {
     trace_ = obs::kTracingEnabled ? session : nullptr;
-    return *this;
-  }
-
-  /// Attach a sampler driven in virtual-clock mode: the executor polls it at
-  /// every event it retires (and once at the makespan), so the time series
-  /// is a pure function of the schedule — deterministic, bit for bit
-  /// (sampler_test.cpp).  The probe runs synchronously on the simulator
-  /// thread at the poll points; do not start() the sampler's own thread.
-  SimExecutor& with_sampler(obs::Sampler* sampler) noexcept {
-    sampler_ = sampler;
     return *this;
   }
 
@@ -158,7 +140,6 @@ class SimExecutor {
         m.lock_wait_time += start - now;
         auto result = engine.compute(*item);
         const std::uint64_t c = cost_.of(result.stats);
-        m.compute_hist.record(c);
         // The unit's virtual compute duration rides the result into
         // commit_one: the engine's waste ledger charges exactly this on
         // cancellation, making sim-side waste ns exact (not sampled).
@@ -200,16 +181,11 @@ class SimExecutor {
       m.busy_time += (ev.t - ev.started) + commit_cost;
       engine.commit(ev.item, std::move(ev.result));
       ++m.units;
-      m.commit_hist.record(freed_at - ev.t);
       m.makespan = std::max(m.makespan, freed_at);
       idle.push(IdleWorker{freed_at, ev.worker});
       now = freed_at;
-      // Sample after the commit landed: a tick due at virtual time T sees
-      // the engine exactly as of the last event retired at or before T.
-      if (sampler_ != nullptr) sampler_->poll(now);
       dispatch();
     }
-    if (sampler_ != nullptr) sampler_->poll(m.makespan);
 
     // Work still in flight when the search completed is abandoned
     // speculative work: it kept its processor busy only until the makespan.
@@ -266,7 +242,6 @@ class SimExecutor {
   int processors_;
   CostModel cost_;
   obs::TraceSession* trace_ = nullptr;  ///< not owned; null = untraced
-  obs::Sampler* sampler_ = nullptr;     ///< not owned; polled in virtual mode
 };
 
 }  // namespace ers::sim

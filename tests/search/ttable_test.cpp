@@ -1,86 +1,30 @@
-#include "search/ttable.hpp"
+// Transposition-table search: AlphaBetaSearcher with a shared
+// ConcurrentTranspositionTable attached (the path the engine's unit kernel
+// runs), and the Othello Zobrist keys it probes with.  The table's own
+// replacement and packing rules are tested in concurrent_ttable_test.cpp.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <tuple>
+#include <vector>
 
 #include "othello/game.hpp"
 #include "othello/positions.hpp"
 #include "othello/zobrist.hpp"
 #include "randomtree/random_tree.hpp"
 #include "search/alpha_beta.hpp"
+#include "search/concurrent_ttable.hpp"
 #include "search/negmax.hpp"
 #include "util/rng.hpp"
 
 namespace ers {
 namespace {
 
-auto othello_hasher() {
-  return [](const othello::OthelloGame::Position& p) {
-    return othello::zobrist_hash(p.board);
-  };
-}
-
-auto random_tree_hasher() {
-  return [](const UniformRandomTree::Position& p) { return p.hash; };
-}
-
-TEST(TranspositionTable, StoreAndProbe) {
-  TranspositionTable t(8);
-  EXPECT_EQ(t.capacity(), 256u);
-  EXPECT_EQ(t.probe(42), nullptr);
-  t.store(42, 7, 3, BoundKind::kExact);
-  const auto* e = t.probe(42);
-  ASSERT_NE(e, nullptr);
-  EXPECT_EQ(e->value, 7);
-  EXPECT_EQ(e->depth, 3);
-  EXPECT_EQ(e->bound, BoundKind::kExact);
-}
-
-TEST(TranspositionTable, DepthPreferredReplacement) {
-  TranspositionTable t(4);
-  const std::uint64_t a = 5;
-  const std::uint64_t b = 5 + 16;  // same slot (16 entries), different key
-  t.store(a, 1, 6, BoundKind::kExact);
-  t.store(b, 2, 3, BoundKind::kExact);  // shallower: must not evict a
-  ASSERT_NE(t.probe(a), nullptr);
-  EXPECT_EQ(t.probe(b), nullptr);
-  t.store(b, 2, 7, BoundKind::kExact);  // deeper: evicts
-  EXPECT_EQ(t.probe(a), nullptr);
-  ASSERT_NE(t.probe(b), nullptr);
-}
-
-TEST(TranspositionTable, SameKeyAlwaysRefreshes) {
-  TranspositionTable t(4);
-  t.store(9, 1, 6, BoundKind::kExact);
-  t.store(9, 2, 2, BoundKind::kLower);  // same position, fresher result
-  const auto* e = t.probe(9);
-  ASSERT_NE(e, nullptr);
-  EXPECT_EQ(e->value, 2);
-}
-
-TEST(TranspositionTable, ClearEmptiesTable) {
-  TranspositionTable t(4);
-  t.store(1, 1, 1, BoundKind::kExact);
-  t.clear();
-  EXPECT_EQ(t.probe(1), nullptr);
-}
-
-TEST(TranspositionTable, NewSearchAgesStaleEntries) {
-  TranspositionTable t(4);
-  const std::uint64_t a = 5;
-  const std::uint64_t b = 5 + 16;  // same slot, different key
-  t.store(a, 1, 9, BoundKind::kExact);
-  // Within one generation the deep entry is protected...
-  t.store(b, 2, 1, BoundKind::kExact);
-  EXPECT_NE(t.probe(a), nullptr);
-  // ...but after new_search() a shallow fresh store may evict it, so a deep
-  // relic can never permanently squat on its slot.
-  t.new_search();
-  EXPECT_NE(t.probe(a), nullptr);  // still probeable until evicted
-  t.store(b, 2, 1, BoundKind::kExact);
-  EXPECT_EQ(t.probe(a), nullptr);
-  const auto* e = t.probe(b);
-  ASSERT_NE(e, nullptr);
-  EXPECT_EQ(e->value, 2);
+template <Game G>
+SearchResult search_with_table(const G& g, int depth,
+                               ConcurrentTranspositionTable& table) {
+  return AlphaBetaSearcher<G>(g, depth).with_shared_table(&table).run();
 }
 
 TEST(Zobrist, IncrementalHashMatchesFullRecompute) {
@@ -135,53 +79,55 @@ TEST(Zobrist, DistinctPositionsDistinctHashes) {
   EXPECT_EQ(boards_unique, hashes_unique);
 }
 
-TEST(TtAlphaBeta, RootValueMatchesPlainAlphaBetaOnRandomTrees) {
+TEST(AlphaBetaSharedTable, RootValueMatchesPlainAlphaBetaOnRandomTrees) {
   for (std::uint64_t seed = 0; seed < 15; ++seed) {
     const UniformRandomTree g(3, 5, seed, -50, 50);
-    TranspositionTable table(12);
-    const auto tt = tt_alpha_beta_search(g, 5, random_tree_hasher(), &table);
+    ConcurrentTranspositionTable table(12);
+    const auto tt = search_with_table(g, 5, table);
     EXPECT_EQ(tt.value, negmax_search(g, 5).value) << seed;
+    EXPECT_EQ(tt.value, alpha_beta_search(g, 5).value) << seed;
   }
 }
 
-TEST(TtAlphaBeta, RootValueMatchesOnOthello) {
+TEST(AlphaBetaSharedTable, RootValueMatchesOnOthello) {
   for (int idx = 1; idx <= 3; ++idx) {
     const othello::OthelloGame g(othello::paper_position(idx));
-    TranspositionTable table(16);
-    const auto tt = tt_alpha_beta_search(g, 5, othello_hasher(), &table);
+    ConcurrentTranspositionTable table(16);
+    const auto tt = search_with_table(g, 5, table);
     EXPECT_EQ(tt.value, alpha_beta_search(g, 5).value) << "O" << idx;
   }
 }
 
-TEST(TtAlphaBeta, TranspositionsReduceNodesOnOthello) {
+TEST(AlphaBetaSharedTable, TranspositionsReduceNodesOnOthello) {
   // Othello transposes (different move orders reach the same board), so the
   // table must produce hits and expand fewer nodes than plain alpha-beta.
   const othello::OthelloGame g(othello::paper_position(1));
-  TranspositionTable table(18);
-  const auto tt = tt_alpha_beta_search(g, 6, othello_hasher(), &table);
+  ConcurrentTranspositionTable table(18);
+  const auto tt = search_with_table(g, 6, table);
   const auto plain = alpha_beta_search(g, 6);
   EXPECT_EQ(tt.value, plain.value);
-  EXPECT_GT(table.hits(), 0u);
+  EXPECT_GT(tt.stats.tt_hits, 0u);
   EXPECT_LT(tt.stats.nodes_generated(), plain.stats.nodes_generated());
 }
 
-TEST(TtAlphaBeta, TableReuseAcrossSearchesIsSound) {
+TEST(AlphaBetaSharedTable, TableReuseAcrossSearchesIsSound) {
   // Search twice with the same table: the second run probes the first run's
   // entries and must return the same value with (much) less work.
   const othello::OthelloGame g(othello::paper_position(2));
-  TranspositionTable table(16);
-  const auto first = tt_alpha_beta_search(g, 5, othello_hasher(), &table);
-  const auto second = tt_alpha_beta_search(g, 5, othello_hasher(), &table);
+  ConcurrentTranspositionTable table(16);
+  const auto first = search_with_table(g, 5, table);
+  table.new_search();
+  const auto second = search_with_table(g, 5, table);
   EXPECT_EQ(first.value, second.value);
   EXPECT_LT(second.stats.nodes_generated(), first.stats.nodes_generated() / 2);
 }
 
-TEST(TtAlphaBeta, WindowedSearchKeepsFailHardSemantics) {
+TEST(AlphaBetaSharedTable, WindowedSearchKeepsFailHardSemantics) {
   const UniformRandomTree g(3, 4, 9, -50, 50);
   const Value exact = negmax_search(g, 4).value;
-  TranspositionTable table(12);
-  TtAlphaBetaSearcher<UniformRandomTree, decltype(random_tree_hasher())> s(
-      g, 4, random_tree_hasher(), &table);
+  ConcurrentTranspositionTable table(12);
+  AlphaBetaSearcher<UniformRandomTree> s(g, 4);
+  s.with_shared_table(&table);
   const auto low = s.run(Window{exact + 5, exact + 15});
   EXPECT_LE(low.value, exact + 5);
   const auto high = s.run(Window{exact - 15, exact - 5});

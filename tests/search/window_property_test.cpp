@@ -13,9 +13,9 @@
 
 #include "randomtree/random_tree.hpp"
 #include "search/alpha_beta.hpp"
+#include "search/concurrent_ttable.hpp"
 #include "search/er_serial.hpp"
 #include "search/negmax.hpp"
-#include "search/ttable.hpp"
 #include "util/rng.hpp"
 
 namespace ers {
@@ -56,10 +56,9 @@ TEST_P(WindowProperty, AlphaBetaAndErRespectArbitraryWindows) {
     check_fail_hard(er.run_from(g.root(), 0, w).value, truth, w, "serial ER",
                     seed);
 
-    TranspositionTable table(10);
-    auto hasher = [](const UniformRandomTree::Position& p) { return p.hash; };
-    TtAlphaBetaSearcher<UniformRandomTree, decltype(hasher)> tt(g, 5, hasher,
-                                                                &table);
+    ConcurrentTranspositionTable table(10);
+    AlphaBetaSearcher<UniformRandomTree> tt(g, 5);
+    tt.with_shared_table(&table);
     check_fail_hard(tt.run(w).value, truth, w, "tt-alpha-beta", seed);
   }
 }
