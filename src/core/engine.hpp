@@ -109,9 +109,17 @@ class Engine {
     std::uint64_t compute_ns = 0;
   };
 
-  Engine(const G&&, EngineConfig) = delete;  // the game must outlive the engine
-  Engine(const G& game, EngineConfig cfg) : game_(game), cfg_(cfg) {
+  /// `root` is the root's search window, full by default.  Against it a
+  /// root value <= root.alpha fails low (the true value is at most
+  /// alpha), a value >= root.beta fails high (at least beta; the search
+  /// stops as soon as the root reaches it), and a value inside is exact,
+  /// as is best_root_position() — what aspiration_drive needs.
+  Engine(const G&&, EngineConfig,
+         Window = full_window()) = delete;  // the game must outlive the engine
+  Engine(const G& game, EngineConfig cfg, Window root = full_window())
+      : game_(game), cfg_(cfg), root_window_(root) {
     ERS_CHECK(cfg_.search_depth >= 0);
+    ERS_CHECK(root_window_.is_open());
     cfg_.serial_depth = std::clamp(cfg_.serial_depth, 0, cfg_.search_depth);
     // Construction is single-threaded: seeding the root needs no lock.
     make_node(game_.root(), kNoNode, 0, NodeType::kENode, 0);
@@ -223,11 +231,12 @@ class Engine {
   // --- executor protocol -------------------------------------------------
 
   /// Pop the next ready unit in one lock section; empty when nothing is
-  /// runnable right now.  The engine counts the units it has handed out,
-  /// so an empty pop with none of them outstanding and the root unfinished
-  /// is a stall — nothing could ever queue work again — and aborts with a
-  /// dump of the unfinished nodes.  Every field that decision reads changes
-  /// only under mu_, so it is exact on any schedule.
+  /// runnable right now, or when a pop-time cutoff inside this call
+  /// finished the root (so re-check done()).  The engine counts the units
+  /// it has handed out, so an empty pop with none of them outstanding and
+  /// the root unfinished is a stall — nothing could ever queue work again
+  /// — and aborts with a dump of the unfinished nodes.  Every field that
+  /// decision reads changes only under mu_, so it is exact on any schedule.
   [[nodiscard]] std::optional<WorkItem> acquire() {
     const auto t0 = Clock::now();
     std::unique_lock lk(mu_);
@@ -710,8 +719,8 @@ class Engine {
     return WorkKind::kSerialFull;
   }
 
-  /// The node's effective search window, folded down from the root exactly
-  /// as Figure 8 flips windows at each ply:
+  /// The node's effective search window, folded down from the root window
+  /// exactly as Figure 8 flips windows at each ply:
   ///     w(child) = ( -beta(parent), -max(alpha(parent), value(parent)) ).
   /// Using the whole ancestor chain (not just -parent.value) preserves the
   /// deep-cutoff information the serial recursion carries implicitly.
@@ -724,7 +733,7 @@ class Engine {
       ERS_CHECK(depth < path.size());
       path[depth++] = a;
     }
-    Window w = full_window();
+    Window w = root_window_;
     while (depth-- > 0) {
       const Value alpha = std::max<Value>(w.alpha, nodes_[path[depth]].value);
       w = Window{negate(w.beta), negate(alpha)};
@@ -966,7 +975,8 @@ class Engine {
 
   [[nodiscard]] bool is_node_complete(std::uint32_t id) const {
     const Node& n = nodes_[id];
-    if (id != 0 && n.value >= beta_of(id)) return true;  // cut off (refuted)
+    // Cut off (refuted), or at the root a fail high against its window.
+    if (n.value >= beta_of(id)) return true;
     return n.expanded() && n.generated() == child_count(n) &&
            n.finished_children() == child_count(n);
   }
@@ -1526,6 +1536,7 @@ class Engine {
 
   const G& game_;
   EngineConfig cfg_;
+  const Window root_window_;
   StableArena<Node> nodes_;  ///< stable slots: children are created while
                              ///< parent references are live
   /// Id-parallel position arena: positions_[id] is node id's game position.

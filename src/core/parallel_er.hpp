@@ -3,39 +3,56 @@
 //
 //   * parallel_er_threads: run on OS threads — the calling thread and its
 //     persistent helpers, so no thread is started per call (shared-memory
-//     runtime, the production path).
+//     runtime, the production path).  Sorted searches run the root under
+//     an aspiration window (DESIGN.md §20).
 //   * parallel_er_sim: run on the deterministic P-processor simulator and
 //     report timing metrics (the experiment path; see DESIGN.md §1).
 
+#include <chrono>
+#include <cstdint>
 #include <optional>
-#include <utility>
 
 #include "core/engine.hpp"
 #include "core/types.hpp"
 #include "gametree/game.hpp"
 #include "obs/trace.hpp"
 #include "runtime/thread_executor.hpp"
+#include "search/alpha_beta.hpp"
+#include "search/aspiration.hpp"
 #include "search/concurrent_ttable.hpp"
 #include "sim/executor.hpp"
 #include "util/check.hpp"
+#include "util/value.hpp"
 
 namespace ers {
 
+/// What parallel_er_threads returns.  A sorted search runs the engine once
+/// or twice (an aspiration guess, then at most one re-search); every field
+/// below covers the whole call unless it says otherwise.
 template <typename Position>
 struct ParallelSearchResult {
   Value value = 0;
+  /// Engine counters summed over the runs, plus the aspiration estimate's
+  /// serial search in engine.search, so node counts are the call's total.
   core::EngineStats engine;
-  /// The executor's own run report (wall time, scheduler counters, TT
-  /// traffic) — what obs::register_thread_report flattens into a metrics
-  /// snapshot, and what a traced run's per-worker spans must sum to.
+  /// The executor's run reports folded into one (scheduler counters, units
+  /// and TT traffic summed; mem the larger run's snapshot) — what
+  /// obs::register_thread_report flattens into a metrics snapshot, and what
+  /// a traced run's per-worker spans must sum to.  elapsed_ns is the wall
+  /// time of the whole call, estimate included.
   runtime::ThreadRunReport report;
-  /// The root child achieving the value (the move to play); empty when the
-  /// whole search ran as one serial unit or the root is a leaf.
+  /// The root child achieving the value (the move to play), from the last
+  /// run; empty when the whole search ran as one serial unit or the root
+  /// is a leaf.
   std::optional<Position> best_move;
   /// Wasted-work attribution: committed units/ns later cancelled, by cause
-  /// and ply band (DESIGN.md §16; duplicate of report.waste for symmetry
-  /// with the sim result).
+  /// and ply band, summed over the runs (DESIGN.md §16; duplicate of
+  /// report.waste for symmetry with the sim result).
   core::EngineWasteStats waste;
+  /// Aspiration re-searches: 1 when the guess window failed, else 0
+  /// (always 0 for an unsorted search, which runs once with the full
+  /// window).
+  int researches = 0;
 };
 
 template <typename Position>
@@ -53,34 +70,74 @@ struct SimulatedSearchResult {
   core::EngineWasteStats waste;
 };
 
+/// Aspiration at the root of sorted thread-runtime searches (DESIGN.md
+/// §20; EXPERIMENTS.md, "Aspiration at the root (A/B)"): the estimate is
+/// serial alpha-beta this many plies shallower than the search, and the
+/// guess window is the estimate ± kAspirationDelta.  On 40
+/// othello_d7-shaped inputs this pair cut 1-thread ER's median node count,
+/// estimate included, from 1.50× plain alpha-beta's to 1.01×, and one
+/// input re-searched.
+inline constexpr int kAspirationPlies = 3;
+inline constexpr Value kAspirationDelta = 200;
+
 /// Search `game` to cfg.search_depth with parallel ER on `threads` OS
 /// threads: the calling thread runs worker 0 and its persistent helpers
 /// run the rest (runtime/worker_pool.hpp, DESIGN.md §19).  The engine
 /// synchronizes itself with one mutex (DESIGN.md §10); compute phases run
 /// outside it, and each worker takes one unit per acquire.  The returned
 /// value equals serial negmax.
+/// When cfg.ordering sorts children by static value and the search is at
+/// least kAspirationPlies + 1 deep, the root runs under an aspiration
+/// window (search/aspiration.hpp): serial alpha-beta kAspirationPlies
+/// shallower, on the calling thread, gives the estimate, the engine
+/// searches the window estimate ± kAspirationDelta, and a result outside
+/// it gets one half-open re-search.  Every other search runs the engine
+/// once with the full window.  The returned statistics cover the whole
+/// call (see ParallelSearchResult).
 /// `batch` and `shards` must both be 1.  They are left over from the
 /// batched scheduler and the sharded problem heap, both removed, and stay
 /// only because perfbench/worker.cpp passes them positionally before
 /// `trace`; drop both together with the next change to perfbench.
 /// `trace` (optional) records the run into per-worker ring buffers for
 /// Perfetto export / trace_report (obs/trace_writer.hpp); it covers both
-/// the executor's scheduling events and the engine's own hooks.
+/// the executor's scheduling events and the engine's own hooks, for every
+/// engine run of the call.
 template <Game G>
 [[nodiscard]] ParallelSearchResult<typename G::Position> parallel_er_threads(
     const G& game, const core::EngineConfig& cfg, int threads, int batch = 1,
     int shards = 1, obs::TraceSession* trace = nullptr) {
   ERS_CHECK(batch == 1 && shards == 1);
+  using Clock = std::chrono::steady_clock;
+  const auto start = Clock::now();
   core::EngineConfig c = cfg;
   c.trace = trace;
   if (c.shared_table != nullptr) c.shared_table->new_search();
-  core::Engine<G> engine(game, c);
-  runtime::ThreadExecutor<core::Engine<G>> exec(threads);
-  exec.with_trace(trace);
-  runtime::ThreadRunReport report = exec.run(engine);
-  return ParallelSearchResult<typename G::Position>{
-      engine.root_value(), engine.stats(), std::move(report),
-      engine.best_root_position(), engine.waste_stats()};
+  ParallelSearchResult<typename G::Position> out;
+  auto search = [&](Window root) {
+    core::Engine<G> engine(game, c, root);
+    runtime::ThreadExecutor<core::Engine<G>> exec(threads);
+    exec.with_trace(trace);
+    out.report.merge(exec.run(engine));
+    out.engine += engine.stats();
+    out.value = engine.root_value();
+    out.best_move = engine.best_root_position();
+    return out.value;
+  };
+  const int estimate_depth = c.search_depth - kAspirationPlies;
+  if (c.ordering.sort_by_static_value && estimate_depth >= 1) {
+    const SearchResult estimate =
+        alpha_beta_search(game, estimate_depth, c.ordering);
+    out.engine.search += estimate.stats;
+    out.researches =
+        aspiration_drive(search, estimate.value, kAspirationDelta).searches - 1;
+  } else {
+    (void)search(full_window());
+  }
+  out.waste = out.report.waste;
+  out.report.elapsed_ns = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - start)
+          .count());
+  return out;
 }
 
 /// Search `game` with parallel ER on `processors` simulated processors;

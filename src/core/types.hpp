@@ -128,6 +128,18 @@ struct EngineStats {
   std::uint64_t refutations_dispatched = 0; ///< children re-typed r-node
   std::uint64_t cutoffs_at_pop = 0;         ///< units cancelled before compute
   std::uint64_t dead_items_dropped = 0;     ///< queue entries under finished ancestors
+
+  EngineStats& operator+=(const EngineStats& o) noexcept {
+    search += o.search;
+    units_processed += o.units_processed;
+    serial_units += o.serial_units;
+    promotions_mandatory += o.promotions_mandatory;
+    promotions_speculative += o.promotions_speculative;
+    refutations_dispatched += o.refutations_dispatched;
+    cutoffs_at_pop += o.cutoffs_at_pop;
+    dead_items_dropped += o.dead_items_dropped;
+    return *this;
+  }
 };
 
 /// Snapshot of the engine's lock accounting: one section per acquire or
@@ -219,6 +231,16 @@ struct EngineWasteStats {
   }
   [[nodiscard]] std::uint64_t total_ns() const noexcept {
     return grid_total(compute_ns);
+  }
+
+  EngineWasteStats& operator+=(const EngineWasteStats& o) noexcept {
+    for (std::size_t c = 0; c < kWasteCauseCount; ++c)
+      for (std::size_t b = 0; b < kWastePlyBands; ++b) {
+        cancels[c][b] += o.cancels[c][b];
+        units[c][b] += o.units[c][b];
+        compute_ns[c][b] += o.compute_ns[c][b];
+      }
+    return *this;
   }
 
  private:

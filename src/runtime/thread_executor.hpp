@@ -93,6 +93,20 @@ struct ThreadRunReport {
   /// never read the clock, so they stamp 0 ns per unit (DESIGN.md §16).
   core::EngineWasteStats waste;
 
+  /// Fold another run of the same call into this report: counters and the
+  /// waste ledger add up, and mem keeps the larger run's snapshot (peak
+  /// memory is a maximum, not a sum).  elapsed_ns is left to the caller,
+  /// which alone knows the span that covers both runs.
+  void merge(const ThreadRunReport& o) {
+    units += o.units;
+    threads = o.threads;
+    tt_probes += o.tt_probes;
+    tt_hits += o.tt_hits;
+    sched.merge(o.sched);
+    if (o.mem.peak_bytes > mem.peak_bytes) mem = o.mem;
+    waste += o.waste;
+  }
+
   [[nodiscard]] double tt_hit_rate() const noexcept {
     return tt_probes == 0
                ? 0.0

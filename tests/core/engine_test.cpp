@@ -1,19 +1,25 @@
 // Correctness of the parallel ER problem-heap engine: for every tree, every
 // processor count, every serial-depth cutover and every speculation setting,
-// the root value must equal serial negmax.
+// the root value must equal serial negmax.  Under a root window the root
+// fails low, fails high or is exact, as the window says.
 
 #include "core/engine.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <tuple>
 
 #include "core/parallel_er.hpp"
 #include "gametree/explicit_tree.hpp"
+#include "othello/game.hpp"
+#include "othello/positions.hpp"
 #include "randomtree/random_tree.hpp"
 #include "randomtree/strongly_ordered.hpp"
+#include "runtime/thread_executor.hpp"
+#include "search/alpha_beta.hpp"
 #include "search/negmax.hpp"
 #include "tictactoe/tictactoe.hpp"
 
@@ -233,6 +239,82 @@ TEST(Engine, MissWithAUnitInFlightIsNotAStall) {
   const auto child = engine.acquire();
   ASSERT_TRUE(child.has_value());
   EXPECT_NE(child->node, 0u);
+}
+
+/// Search `g` under root window `w` on `threads` workers: a plain
+/// acquire/compute/commit loop on this thread at 1, the thread executor
+/// otherwise.
+/// Returns the root value and, through `move`, the best root child.
+template <Game G>
+Value run_with_root_window(const G& g, const core::EngineConfig& cfg,
+                           Window w, int threads,
+                           std::optional<typename G::Position>& move) {
+  core::Engine<G> engine(g, cfg, w);
+  if (threads == 1) {
+    while (!engine.done()) {
+      const auto item = engine.acquire();
+      if (!item) break;  // a stall aborts inside acquire()
+      engine.commit(*item, engine.compute(*item));
+    }
+  } else {
+    runtime::ThreadExecutor<core::Engine<G>> exec(threads);
+    (void)exec.run(engine);
+  }
+  EXPECT_TRUE(engine.done());
+  move = engine.best_root_position();
+  return engine.root_value();
+}
+
+/// Root windows around the true value v: a window holding v returns v
+/// exactly, with a best move whose child achieves it; a window above v
+/// fails low (value <= alpha) and one below fails high (value >= beta).
+/// Each at the given cutover and at cutover 0, where the root is one
+/// serial unit (and names no move).
+template <Game G>
+void check_root_windows(const G& g, core::EngineConfig cfg,
+                        const std::string& what) {
+  const int d = cfg.search_depth;
+  const Value v = alpha_beta_search(g, d, cfg.ordering).value;
+  const Window exact{v - 1, v + 1};
+  const Window above[] = {{v, v + 50}, {v + 100, v + 400}};
+  const Window below[] = {{v - 50, v}, {v - 400, v - 100}};
+  for (const int serial : {cfg.serial_depth, 0}) {
+    cfg.serial_depth = serial;
+    for (const int threads : {1, 4}) {
+      const std::string where = what + " serial_depth=" +
+                                std::to_string(serial) +
+                                " threads=" + std::to_string(threads);
+      std::optional<typename G::Position> move;
+      EXPECT_EQ(run_with_root_window(g, cfg, exact, threads, move), v)
+          << where;
+      if (serial > 0) {
+        ASSERT_TRUE(move.has_value()) << where;
+        AlphaBetaSearcher<G> child(g, d, cfg.ordering);
+        EXPECT_EQ(negate(child.run_from(*move, 1).value), v) << where;
+      }
+      for (const Window w : above)
+        EXPECT_LE(run_with_root_window(g, cfg, w, threads, move), w.alpha)
+            << where << " window (" << w.alpha << ", " << w.beta << ")";
+      for (const Window w : below)
+        EXPECT_GE(run_with_root_window(g, cfg, w, threads, move), w.beta)
+            << where << " window (" << w.alpha << ", " << w.beta << ")";
+    }
+  }
+}
+
+TEST(Engine, RootWindowOnRandomTrees) {
+  for (std::uint64_t seed = 0; seed < 4; ++seed)
+    check_root_windows(UniformRandomTree(4, 6, seed, -1000, 1000),
+                       config_for(6, 2),
+                       std::string("seed=").append(std::to_string(seed)));
+}
+
+TEST(Engine, RootWindowOnOthello) {
+  core::EngineConfig cfg = config_for(5, 2);
+  cfg.ordering = OrderingPolicy{.sort_by_static_value = true, .max_sort_ply = 6};
+  for (int idx = 1; idx <= 3; ++idx)
+    check_root_windows(othello::OthelloGame(othello::paper_position(idx)), cfg,
+                       std::string("O").append(std::to_string(idx)));
 }
 
 TEST(Engine, QueuedCountReflectsQueues) {

@@ -26,45 +26,58 @@ core::EngineConfig cfg(int depth, int serial) {
 
 TEST(ThreadTrace, SpanTotalsAgreeWithRunReport) {
   if (!obs::kTracingEnabled) GTEST_SKIP() << "tracing compiled out";
-  const UniformRandomTree g(4, 6, 11, -100, 100);
-  const Value oracle = negmax_search(g, 6).value;
-  // 4 threads.  A generous ring keeps the comparison exact (no drops).
-  obs::TraceSession session(0, std::size_t{1} << 20);
-  const auto r =
-      parallel_er_threads(g, cfg(6, 3), /*threads=*/4, /*batch=*/1,
-                          /*shards=*/1, &session);
-  EXPECT_EQ(r.value, oracle);
-  EXPECT_EQ(r.report.threads, 4);
-  ASSERT_EQ(session.total_dropped(), 0u)
-      << "raise the ring capacity: the exact comparison needs a full record";
+  // An unsorted tree runs the engine once.  On a sorted one the call runs
+  // a serial estimate, an aspiration guess and, since static values on a
+  // random tree predict nothing, a re-search: the report folds both engine
+  // runs, and the session holds both runs' events.
+  core::EngineConfig sorted = cfg(6, 2);
+  sorted.ordering.sort_by_static_value = true;
+  const struct {
+    UniformRandomTree g;
+    core::EngineConfig cfg;
+    int researches;
+  } inputs[] = {{UniformRandomTree(4, 6, 11, -100, 100), cfg(6, 3), 0},
+                {UniformRandomTree(4, 6, 5, -10'000, 10'000), sorted, 1}};
+  for (const auto& in : inputs) {
+    const Value oracle = negmax_search(in.g, 6).value;
+    // 4 threads.  A generous ring keeps the comparison exact (no drops).
+    obs::TraceSession session(0, std::size_t{1} << 20);
+    const auto r = parallel_er_threads(in.g, in.cfg, /*threads=*/4,
+                                       /*batch=*/1, /*shards=*/1, &session);
+    EXPECT_EQ(r.value, oracle);
+    EXPECT_EQ(r.report.threads, 4);
+    EXPECT_EQ(r.researches, in.researches);
+    ASSERT_EQ(session.total_dropped(), 0u)
+        << "raise the ring capacity: the exact comparison needs a full record";
 
-  std::uint64_t compute = 0, lock_wait = 0, lock_hold = 0, spans = 0;
-  for (int w = 0; w < session.worker_count(); ++w) {
-    for (const obs::TraceEvent& e : session.worker(w).events()) {
-      switch (e.kind) {
-        case obs::EventKind::kComputeSpan:
-          compute += e.dur;
-          ++spans;
-          break;
-        case obs::EventKind::kLockWaitSpan: lock_wait += e.dur; break;
-        case obs::EventKind::kLockHoldSpan: lock_hold += e.dur; break;
-        default: break;
+    std::uint64_t compute = 0, lock_wait = 0, lock_hold = 0, spans = 0;
+    for (int w = 0; w < session.worker_count(); ++w) {
+      for (const obs::TraceEvent& e : session.worker(w).events()) {
+        switch (e.kind) {
+          case obs::EventKind::kComputeSpan:
+            compute += e.dur;
+            ++spans;
+            break;
+          case obs::EventKind::kLockWaitSpan: lock_wait += e.dur; break;
+          case obs::EventKind::kLockHoldSpan: lock_hold += e.dur; break;
+          default: break;
+        }
       }
     }
+    // The engine records one kUnitCommit per commit, on its own track.
+    std::uint64_t committed = 0;
+    for (const obs::TraceEvent& e : session.engine_tracer().events())
+      if (e.kind == obs::EventKind::kUnitCommit) ++committed;
+    // Spans and SchedulerStats use the same Clock::now() readings, so the
+    // totals are identical, not merely close.
+    EXPECT_EQ(compute, r.report.sched.compute_ns);
+    EXPECT_EQ(lock_wait, r.report.sched.lock_wait_ns);
+    EXPECT_EQ(lock_hold, r.report.sched.lock_hold_ns);
+    // Every computed unit is committed before its worker exits.
+    EXPECT_EQ(spans, r.report.sched.units);
+    EXPECT_EQ(spans, r.report.units);
+    EXPECT_EQ(committed, r.report.units);
   }
-  // The engine records one kUnitCommit per commit, on its own track.
-  std::uint64_t committed = 0;
-  for (const obs::TraceEvent& e : session.engine_tracer().events())
-    if (e.kind == obs::EventKind::kUnitCommit) ++committed;
-  // Spans and SchedulerStats use the same Clock::now() readings, so the
-  // totals are identical, not merely close.
-  EXPECT_EQ(compute, r.report.sched.compute_ns);
-  EXPECT_EQ(lock_wait, r.report.sched.lock_wait_ns);
-  EXPECT_EQ(lock_hold, r.report.sched.lock_hold_ns);
-  // Every computed unit is committed before its worker exits.
-  EXPECT_EQ(spans, r.report.sched.units);
-  EXPECT_EQ(spans, r.report.units);
-  EXPECT_EQ(committed, r.report.units);
 }
 
 TEST(ThreadTrace, AnalyzerSeesTheWholeRun) {

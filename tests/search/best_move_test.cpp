@@ -7,6 +7,8 @@
 
 #include "connect4/connect4.hpp"
 #include "core/parallel_er.hpp"
+#include "othello/game.hpp"
+#include "othello/positions.hpp"
 #include "randomtree/random_tree.hpp"
 #include "search/alpha_beta.hpp"
 #include "search/er_serial.hpp"
@@ -77,6 +79,29 @@ TEST(BestMove, ThreadRuntimeChoiceAchievesRootValue) {
   const auto r = parallel_er_threads(g, cfg, 4);
   ASSERT_TRUE(r.best_move.has_value());
   EXPECT_EQ(negate(value_of_child(g, *r.best_move, 4)), r.value);
+
+  // Sorted searches aspirate at the root.  On this Othello position the
+  // guess window holds; on the random tree, whose static values predict
+  // nothing, it fails and the move comes from the re-search.
+  core::EngineConfig sorted = cfg;
+  sorted.ordering = OrderingPolicy{.sort_by_static_value = true, .max_sort_ply = 6};
+  const othello::OthelloGame o(othello::selfplay_position(11, 3));
+  const UniformRandomTree wide(4, 5, 3, -10'000, 10'000);
+  for (const int threads : {1, 4}) {
+    const auto ro = parallel_er_threads(o, sorted, threads);
+    EXPECT_EQ(ro.researches, 0) << "threads=" << threads;
+    EXPECT_EQ(ro.value, alpha_beta_search(o, 5, sorted.ordering).value);
+    ASSERT_TRUE(ro.best_move.has_value()) << "threads=" << threads;
+    EXPECT_EQ(negate(value_of_child(o, *ro.best_move, 4)), ro.value)
+        << "threads=" << threads;
+
+    const auto rw = parallel_er_threads(wide, sorted, threads);
+    EXPECT_EQ(rw.researches, 1) << "threads=" << threads;
+    EXPECT_EQ(rw.value, negmax_search(wide, 5).value);
+    ASSERT_TRUE(rw.best_move.has_value()) << "threads=" << threads;
+    EXPECT_EQ(negate(value_of_child(wide, *rw.best_move, 4)), rw.value)
+        << "threads=" << threads;
+  }
 }
 
 TEST(BestMove, LeafRootHasNoMove) {
