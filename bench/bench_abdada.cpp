@@ -11,7 +11,7 @@
 //   * tt probes/hits   — shared-table traffic (ABDADA only; ER's engine
 //                        routes TT use through its own serial searcher)
 //   * deferred/revisit — ABDADA's two-phase exclusivity accounting
-//   * researches       — aspiration window re-searches over all depths
+//   * researches       — aspiration window re-searches (sorted trees only)
 //   * thread node skew — min/max per-worker node counts (duplication spread)
 // Correctness bar, checked on every run: identical root value to serial
 // alpha-beta at the same depth for both algorithms at every thread count
@@ -92,7 +92,8 @@ AlgoRun run_er(const G& game, const ers::core::EngineConfig& cfg, int threads,
   return sum;
 }
 
-/// The rival: shared-TT ABDADA, iterative deepening to the same depth.
+/// The rival: shared-TT ABDADA to the same depth, under parallel ER's root
+/// aspiration policy.
 template <typename G>
 AlgoRun run_abdada(const G& game, const ers::core::EngineConfig& cfg,
                    int threads, int reps, ers::Value oracle,

@@ -14,11 +14,13 @@ namespace ers::bench {
 /// ABDADA on the same positions, threads {1, 2, 4, 8} on the real thread
 /// runtime: the modern shared-TT rival the efficiency figures are judged
 /// against (DESIGN.md §14).  Node counts relative to one-shot serial
-/// alpha-beta at the figure's depth are the portable comparison — ABDADA
-/// deepens iteratively, so a ratio slightly above 1 at one thread is the
-/// deepening overhead, and the growth with threads is the duplication the
-/// shared tables fail to suppress.  Root values are checked against serial
-/// alpha-beta on every run; full sweep data lives in BENCH_abdada.json.
+/// alpha-beta at the figure's depth are the portable comparison — on the
+/// sorted Othello trees ABDADA adds an estimate iteration three plies
+/// shallower (and table hits can put it below 1 at one thread), the
+/// unsorted random trees run one iteration, and the growth with threads is
+/// the duplication the shared tables fail to suppress.  Root values are
+/// checked against serial alpha-beta on every run; full sweep data lives in
+/// BENCH_abdada.json.
 inline void print_abdada_rival(const FigureOptions& opt) {
   std::printf("\nABDADA rival on the same positions (thread runtime):\n");
   TextTable table({"tree", "threads", "abdada nodes", "vs alpha-beta",

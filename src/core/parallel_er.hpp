@@ -70,24 +70,14 @@ struct SimulatedSearchResult {
   core::EngineWasteStats waste;
 };
 
-/// Aspiration at the root of sorted thread-runtime searches (DESIGN.md
-/// §20; EXPERIMENTS.md, "Aspiration at the root (A/B)"): the estimate is
-/// serial alpha-beta this many plies shallower than the search, and the
-/// guess window is the estimate ± kAspirationDelta.  On 40
-/// othello_d7-shaped inputs this pair cut 1-thread ER's median node count,
-/// estimate included, from 1.50× plain alpha-beta's to 1.01×, and one
-/// input re-searched.
-inline constexpr int kAspirationPlies = 3;
-inline constexpr Value kAspirationDelta = 200;
-
 /// Search `game` to cfg.search_depth with parallel ER on `threads` OS
 /// threads: the calling thread runs worker 0 and its persistent helpers
 /// run the rest (runtime/worker_pool.hpp, DESIGN.md §19).  The engine
 /// synchronizes itself with one mutex (DESIGN.md §10); compute phases run
 /// outside it, and each worker takes one unit per acquire.  The returned
 /// value equals serial negmax.
-/// When cfg.ordering sorts children by static value and the search is at
-/// least kAspirationPlies + 1 deep, the root runs under an aspiration
+/// When aspirates_root(cfg.ordering, cfg.search_depth) holds (a sorted
+/// search deeper than kAspirationPlies), the root runs under an aspiration
 /// window (search/aspiration.hpp): serial alpha-beta kAspirationPlies
 /// shallower, on the calling thread, gives the estimate, the engine
 /// searches the window estimate ± kAspirationDelta, and a result outside
@@ -123,10 +113,9 @@ template <Game G>
     out.best_move = engine.best_root_position();
     return out.value;
   };
-  const int estimate_depth = c.search_depth - kAspirationPlies;
-  if (c.ordering.sort_by_static_value && estimate_depth >= 1) {
-    const SearchResult estimate =
-        alpha_beta_search(game, estimate_depth, c.ordering);
+  if (aspirates_root(c.ordering, c.search_depth)) {
+    const SearchResult estimate = alpha_beta_search(
+        game, c.search_depth - kAspirationPlies, c.ordering);
     out.engine.search += estimate.stats;
     out.researches =
         aspiration_drive(search, estimate.value, kAspirationDelta).searches - 1;

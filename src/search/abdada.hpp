@@ -35,6 +35,14 @@
 //     this library exposes immutable positions with incrementally
 //     maintained hashes (othello::Board updates its Zobrist key per move),
 //     so "unplay" is dropping the copy.
+//   * Horizon leaves (remaining depth 0) stay out of both shared tables:
+//     they are evaluated right after the stop check, with no probe, store
+//     or exclusivity check.  A leaf's entry saves at most one static
+//     evaluation, yet every leaf paid a probe and a store into lines the
+//     workers share and crowded interior entries out of the table; no
+//     worker is ever inside a leaf, so its nproc slot could only be busy
+//     by aliasing.  Leaves that end the game before the horizon still use
+//     the tables.
 //
 // Without a table (or for a non-HashedGame such as tictactoe/connect4) the
 // recursion degenerates to plain fail-hard alpha-beta — exclusivity and
@@ -128,10 +136,11 @@ class AbdadaSearcher {
     // Size the per-ply child-buffer pool up front: visit() keeps references
     // into its level's buffer across the recursive calls, so the outer
     // vector must never reallocate mid-recursion.  One buffer per level in
-    // [start_ply, depth_]; each keeps its capacity across iterative-
-    // deepening re-runs, making steady-state child generation heap-free.
+    // [start_ply, depth_) (horizon leaves generate no children); each keeps
+    // its capacity across aspiration re-searches, making steady-state child
+    // generation heap-free.
     const std::size_t levels =
-        static_cast<std::size_t>(std::max(0, depth_ - start_ply)) + 1;
+        static_cast<std::size_t>(std::max(0, depth_ - start_ply));
     if (kids_pool_.size() < levels) kids_pool_.resize(levels);
     for (auto& buf : kids_pool_) buf.reserve(kChildReserve);
     const Value v = visit(pos, w.alpha, w.beta, start_ply, /*exclusive=*/false);
@@ -166,6 +175,10 @@ class AbdadaSearcher {
       return 0;
     }
     const int remaining = depth_ - ply;
+    if (remaining <= 0) {
+      ++stats_.leaves_evaluated;
+      return game_.evaluate(p);
+    }
     [[maybe_unused]] std::uint64_t key = 0;
     [[maybe_unused]] std::uint16_t tt_hint = 0;
     if constexpr (HashedGame<G>) {
@@ -210,7 +223,7 @@ class AbdadaSearcher {
     ERS_DCHECK(level < kids_pool_.size());  // pool sized in run_from
     std::vector<typename G::Position>& kids = kids_pool_[level];
     kids.clear();
-    if (ply < depth_) game_.generate_children(p, kids);
+    game_.generate_children(p, kids);
     if (kids.empty()) {
       ++stats_.leaves_evaluated;
       const Value v = game_.evaluate(p);
@@ -230,7 +243,7 @@ class AbdadaSearcher {
       if (!sorted_with_tables)
         sort_children_by_static_value(game_, kids, stats_);
     }
-    prefetch_children(kids);
+    if (remaining > 1) prefetch_children(kids);
 
     if constexpr (HashedGame<G>)
       if (nproc_ != nullptr) nproc_->enter(key);
@@ -282,7 +295,7 @@ class AbdadaSearcher {
       // credit scaled by remaining depth.
       if (m >= beta && best_key != 0 && tables_ != nullptr && !aborted_) {
         tables_->killers.record(ply + 1, best_key);
-        const auto r = static_cast<std::uint32_t>(remaining < 0 ? 0 : remaining);
+        const auto r = static_cast<std::uint32_t>(remaining);
         tables_->history.add(best_key, r * r + 1);
       }
     }
@@ -317,8 +330,8 @@ class AbdadaSearcher {
 
   /// Warm the TT lines of every freshly generated child before the child
   /// loop touches them — by the time phase one probes a sibling, its slot
-  /// is in cache (the prefetch-wiring satellite; er_serial.hpp does the
-  /// same at expansion).
+  /// is in cache (er_serial.hpp does the same at expansion).  Not called
+  /// when the children are horizon leaves, which never probe.
   void prefetch_children(
       [[maybe_unused]] const std::vector<typename G::Position>& kids) const {
     if constexpr (HashedGame<G>) {

@@ -7,18 +7,41 @@
 //
 // The window/retry protocol is independent of the searcher, so it lives in
 // aspiration_drive(): aspiration_search() instantiates it over serial
-// alpha-beta, and the ABDADA runner (baselines/abdada_par.hpp) drives its
-// own root iterations through the same function.
+// alpha-beta, and both parallel searchers, parallel_er_threads
+// (core/parallel_er.hpp) and the ABDADA runner (baselines/abdada_par.hpp),
+// run their roots through the same function under one policy,
+// aspirates_root() with kAspirationPlies and kAspirationDelta.
 
 #include <type_traits>
 #include <utility>
 
 #include "gametree/game.hpp"
 #include "search/alpha_beta.hpp"
+#include "search/ordering.hpp"
 #include "util/check.hpp"
 #include "util/value.hpp"
 
 namespace ers {
+
+/// Aspiration at the root of the parallel searchers (DESIGN.md §20;
+/// EXPERIMENTS.md, "Aspiration at the root (A/B)"): the estimate is a
+/// search this many plies shallower than the real one, and the guess
+/// window is the estimate ± kAspirationDelta.  On 40 othello_d7-shaped
+/// inputs this pair cut 1-thread ER's median node count, estimate
+/// included, from 1.50× plain alpha-beta's to 1.01×, and one input
+/// re-searched.
+inline constexpr int kAspirationPlies = 3;
+inline constexpr Value kAspirationDelta = 200;
+
+/// True when a parallel search to `depth` under `ordering` runs its root
+/// under an aspiration window.  A caller sorts by static value only when
+/// static values predict subtree values, which is what a shallow estimate
+/// needs; on unsorted random trees the estimate is noise (DESIGN.md §20),
+/// and a search no deeper than kAspirationPlies has no estimate depth.
+[[nodiscard]] constexpr bool aspirates_root(const OrderingPolicy& ordering,
+                                            int depth) noexcept {
+  return ordering.sort_by_static_value && depth > kAspirationPlies;
+}
 
 /// What the aspiration protocol decided, independent of who searched.
 struct AspirationOutcome {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <thread>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "othello/positions.hpp"
 #include "randomtree/random_tree.hpp"
 #include "search/alpha_beta.hpp"
+#include "search/aspiration.hpp"
 #include "search/nproc_table.hpp"
 #include "tictactoe/tictactoe.hpp"
 
@@ -92,7 +94,7 @@ TEST(NprocTable, ConcurrentHammerQuiescesIdle) {
 
 TEST(Abdada, OneThreadMatchesAlphaBetaTicTacToe) {
   const TicTacToe g;
-  for (const int depth : {3, 5, 9}) {
+  for (const int depth : {0, 3, 5, 9}) {
     const Value oracle = alpha_beta_search(g, depth).value;
     baselines::AbdadaOptions opt;
     opt.threads = 1;
@@ -139,33 +141,61 @@ TEST(Abdada, SearcherAloneMatchesAlphaBetaOnRandomTrees) {
 
 TEST(Abdada, SearcherWithTablesMatchesAlphaBeta) {
   // Same equivalence with live TT + nproc table on a single thread: the
-  // depth-exact gating must keep every cutoff value-preserving.
-  for (std::uint64_t seed = 0; seed < 4; ++seed) {
-    const UniformRandomTree g(5, 6, seed + 700, -80, 80);
-    const Value oracle = alpha_beta_search(g, 6).value;
-    ConcurrentTranspositionTable tt(14);
-    NprocTable nproc(10);
-    AbdadaSearcher<UniformRandomTree> s(g, 6);
-    s.with_shared_table(&tt).with_nproc_table(&nproc);
-    const SearchResult r = s.run();
-    EXPECT_EQ(r.value, oracle) << "seed=" << seed;
-    EXPECT_GT(r.stats.tt_probes, 0u);
-    EXPECT_TRUE(nproc.all_idle()) << "enter/leave must balance";
+  // depth-exact gating must keep every cutoff value-preserving.  Horizon
+  // leaves bypass both tables, so at depth 1 only the root probes and
+  // stores.
+  for (const int depth : {1, 6}) {
+    for (std::uint64_t seed = 0; seed < 4; ++seed) {
+      const UniformRandomTree g(5, 6, seed + 700, -80, 80);
+      const Value oracle = alpha_beta_search(g, depth).value;
+      ConcurrentTranspositionTable tt(14);
+      NprocTable nproc(10);
+      AbdadaSearcher<UniformRandomTree> s(g, depth);
+      s.with_shared_table(&tt).with_nproc_table(&nproc);
+      const SearchResult r = s.run();
+      EXPECT_EQ(r.value, oracle) << "depth=" << depth << " seed=" << seed;
+      if (depth == 1) {
+        EXPECT_EQ(r.stats.tt_probes, 1u) << "seed=" << seed;
+        EXPECT_EQ(r.stats.tt_stores, 1u) << "seed=" << seed;
+        EXPECT_EQ(tt.occupancy(), 1u) << "seed=" << seed;
+      } else {
+        EXPECT_GT(r.stats.tt_probes, 0u);
+      }
+      EXPECT_TRUE(nproc.all_idle()) << "enter/leave must balance";
+    }
   }
 }
 
 // --- multi-thread value determinism ----------------------------------------
 
 TEST(Abdada, ValueDeterministicAcrossThreadCountsRandomTree) {
-  for (std::uint64_t seed = 0; seed < 3; ++seed) {
-    const UniformRandomTree g(4, 6, seed + 40, -90, 90);
+  // Three unsorted trees, which run one full-window iteration, and one
+  // sorted tree whose shallow estimate is noise (leaves span ±10,000), so
+  // its guess window fails and the root re-searches once at every thread
+  // count.
+  struct Input {
+    UniformRandomTree tree;
+    bool sorted;
+  };
+  std::vector<Input> inputs;
+  for (std::uint64_t seed = 0; seed < 3; ++seed)
+    inputs.push_back({UniformRandomTree(4, 6, seed + 40, -90, 90), false});
+  inputs.push_back({UniformRandomTree(4, 6, 41), true});
+  for (const auto& [g, sorted] : inputs) {
     const Value oracle = alpha_beta_search(g, 6).value;
+    if (sorted) {
+      const Value estimate = alpha_beta_search(g, 6 - kAspirationPlies).value;
+      ASSERT_GT(std::abs(estimate - oracle), kAspirationDelta)
+          << "the sorted input must fail its guess window";
+    }
     for (const int threads : {2, 4, 8}) {
       baselines::AbdadaOptions opt;
       opt.threads = threads;
+      opt.ordering.sort_by_static_value = sorted;
       const auto r = baselines::abdada_parallel_search(g, 6, opt);
-      EXPECT_EQ(r.value, oracle) << "seed=" << seed << " threads=" << threads;
-      // Every depth iteration's claimed value is exact too.
+      EXPECT_EQ(r.value, oracle) << "sorted=" << sorted << " threads=" << threads;
+      EXPECT_EQ(r.researches, sorted ? 1 : 0) << "threads=" << threads;
+      // Every root iteration's claimed value is exact too.
       for (const auto& d : r.per_depth)
         EXPECT_EQ(d.value, alpha_beta_search(g, d.depth).value)
             << "depth=" << d.depth << " threads=" << threads;
@@ -185,6 +215,63 @@ TEST(Abdada, ValueDeterministicAcrossThreadCountsOthello) {
     EXPECT_EQ(static_cast<int>(r.per_thread.size()), threads);
     // Phase-two revisits can only come from phase-one deferrals.
     EXPECT_LE(r.stats.moves_revisited, r.stats.moves_deferred);
+  }
+}
+
+// --- root schedule ----------------------------------------------------------
+
+TEST(Abdada, RootIterationsFollowTheAspirationGate) {
+  // A sorted search deeper than kAspirationPlies runs one full-window
+  // iteration kAspirationPlies shallower, then the real depth under the
+  // aspiration window; an unsorted search, and a sorted one too shallow for
+  // an estimate, run the real depth once.
+  struct Case {
+    bool sorted;
+    int depth;
+    std::vector<int> iterations;
+  };
+  const othello::OthelloGame g(othello::paper_position(1));
+  for (const Case& c : {Case{true, 5, {5 - kAspirationPlies, 5}},
+                        Case{true, kAspirationPlies, {kAspirationPlies}},
+                        Case{false, 5, {5}}}) {
+    baselines::AbdadaOptions opt;
+    opt.threads = 2;
+    opt.ordering.sort_by_static_value = c.sorted;
+    const auto r = baselines::abdada_parallel_search(g, c.depth, opt);
+    std::vector<int> iterations;
+    for (const auto& d : r.per_depth) {
+      iterations.push_back(d.depth);
+      EXPECT_EQ(d.value, alpha_beta_search(g, d.depth).value)
+          << "depth=" << d.depth;
+    }
+    EXPECT_EQ(iterations, c.iterations)
+        << "sorted=" << c.sorted << " depth=" << c.depth;
+    EXPECT_EQ(r.value, alpha_beta_search(g, c.depth).value);
+  }
+}
+
+TEST(Abdada, FourThreadsMatchAlphaBetaOnBenchmarkShapes) {
+  // perfbench's two workloads at their own shapes: self-play Othello
+  // midgames at depth 7 sorted to ply 6 (the aspirated root) and 8-wide
+  // random trees at depth 7 (one full-window iteration).
+  baselines::AbdadaOptions opt;
+  opt.threads = 4;
+  opt.ordering.sort_by_static_value = true;
+  opt.ordering.max_sort_ply = 6;
+  for (const int plies : {11, 15, 19}) {
+    const othello::OthelloGame g(
+        othello::selfplay_position(plies, static_cast<std::uint64_t>(plies)));
+    const auto r = baselines::abdada_parallel_search(g, 7, opt);
+    EXPECT_EQ(r.value, alpha_beta_search(g, 7, opt.ordering).value)
+        << "plies=" << plies;
+    EXPECT_EQ(r.per_depth.size(), 2u);
+  }
+  opt.ordering = {};
+  for (const std::uint64_t seed : {31u, 41u, 97u}) {
+    const UniformRandomTree g(8, 7, seed);
+    const auto r = baselines::abdada_parallel_search(g, 7, opt);
+    EXPECT_EQ(r.value, alpha_beta_search(g, 7).value) << "seed=" << seed;
+    EXPECT_EQ(r.per_depth.size(), 1u);
   }
 }
 
