@@ -4,7 +4,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -15,30 +14,9 @@
 #include "othello/positions.hpp"
 #include "randomtree/random_tree.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/resource.h>
-#endif
-
 namespace {
 
 using namespace ers;
-
-/// Peak resident set of this process in KiB (0 where getrusage is
-/// unavailable).  Attached as a counter so the CI bench guard can fail on
-/// memory growth the same way it fails on throughput loss.
-double peak_rss_kb() {
-#if defined(__unix__) || defined(__APPLE__)
-  struct rusage ru {};
-  if (getrusage(RUSAGE_SELF, &ru) == 0) {
-#if defined(__APPLE__)
-    return static_cast<double>(ru.ru_maxrss) / 1024.0;  // bytes on macOS
-#else
-    return static_cast<double>(ru.ru_maxrss);  // KiB on Linux
-#endif
-  }
-#endif
-  return 0.0;
-}
 
 void BM_OthelloLegalMoves(benchmark::State& state) {
   const othello::Board b = othello::paper_position(1);
@@ -144,52 +122,6 @@ BENCHMARK(BM_EngineCommitContention)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-void BM_NodeChurn(benchmark::State& state) {
-  // Node-lifecycle churn: run the engine to completion with speculation on
-  // (spec cancellations + ancestor cutoffs kill subtrees mid-flight), so the
-  // loop exercises the full expand -> cancel -> reclaim cycle of the
-  // two-tier node storage — slab allocation at commit_expand, dead-drop and
-  // finish-time reclamation, freelist recycling (DESIGN.md §15).  The
-  // single protocol driver keeps the measurement on the storage path, not
-  // on scheduler interleaving.
-  const UniformRandomTree g(5, 7, 29, -1000, 1000);
-  core::EngineConfig cfg;
-  cfg.search_depth = 7;
-  cfg.serial_depth = 5;
-  std::uint64_t nodes = 0;
-  std::uint64_t reclaimed = 0;
-  std::uint64_t peak_bytes = 0;
-  for (auto _ : state) {
-    core::Engine<UniformRandomTree> engine(g, cfg);
-    while (!engine.done()) {
-      const auto item = engine.acquire();
-      if (!item) continue;
-      engine.commit(*item, engine.compute(*item));
-    }
-    const core::EngineMemStats m = engine.mem_stats();
-    nodes += m.live_nodes;
-    reclaimed += m.cold_reclaimed;
-    peak_bytes = std::max(peak_bytes, m.peak_bytes);
-  }
-  // nodes/s = nodes/run / real_time: a schedule that builds fewer nodes
-  // per run lowers nodes/s without being slower.
-  state.counters["nodes/s"] = benchmark::Counter(
-      static_cast<double>(nodes), benchmark::Counter::kIsRate);
-  state.counters["nodes/run"] = benchmark::Counter(
-      static_cast<double>(nodes), benchmark::Counter::kAvgIterations);
-  state.counters["cold_reclaimed"] = benchmark::Counter(
-      static_cast<double>(reclaimed), benchmark::Counter::kAvgIterations);
-  state.counters["bytes_per_node"] =
-      nodes > 0 ? static_cast<double>(peak_bytes) /
-                      (static_cast<double>(nodes) /
-                       static_cast<double>(state.iterations()))
-                : 0.0;
-  state.counters["peak_rss_kb"] = peak_rss_kb();
-}
-BENCHMARK(BM_NodeChurn)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

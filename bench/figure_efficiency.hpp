@@ -80,7 +80,7 @@ inline void print_efficiency_figure(const char* title,
       // serialization shares decompose the figure's 1 - efficiency — the
       // waste ledger turns the efficiency gap into named causes.
       const double waste_share = static_cast<double>(p.waste.total_ns()) / cap;
-      // Peak engine storage (hot arena + position arena + cold slabs)
+      // Peak engine storage (hot arena + position arena + cold records)
       // amortized over every node the search generated — the memory-side
       // efficiency of the two-tier layout (DESIGN.md §15).
       const double bytes_per_node =

@@ -32,12 +32,10 @@
 // small *hot* record per node (value, role, queue membership, parent/ply
 // links) next to an id-parallel position arena, while the expansion
 // payload — frozen child positions, child-node ids, ER phase bookkeeping —
-// lives in a *cold* record allocated from a slab at expansion and
-// reclaimed (through size-class freelists) when the node finishes or its
-// subtree dies.  Cold records are touched only under mu_, except the
-// lock-free compute-phase reads on a node's *own* in-flight unit, which the
-// reclaimer's !in_flight guard keeps safe; commit_one releases the record
-// of a unit whose node died in flight once the unit lands.
+// lives in a *cold* record attached once, inside the node's own commit,
+// and kept until the engine dies.  Cold records are touched only under
+// mu_, except compute()'s lock-free reads on a node's *own* in-flight unit,
+// which see only fields written before that unit was acquired.
 //
 // acquire() and commit() are one lock section each, so a unit costs two, in
 // the paper's order: the acquire that pops it and the commit that applies
@@ -63,6 +61,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <new>
@@ -155,77 +154,8 @@ class Engine {
     }
   };
 
-  /// Slab allocator for cold expansion records (ColdRecord, defined with
-  /// the node storage below).  No internal lock: every call happens under
-  /// mu_ — allocation inside a commit, reclamation at finish/dead-drop
-  /// time.  Blocks are grouped into power-of-two child-capacity size
-  /// classes and recycled through per-class freelists, so steady-state
-  /// expansion after warmup performs no heap allocation; chunk memory is
-  /// never returned to the OS, which keeps every block address stable for
-  /// the magic-word poisoning reclaim writes (use-after-reclaim detection,
-  /// ERS_DCHECKed in checked_cold).
-  class ColdSlab {
-   public:
-    ColdSlab() = default;
-    ColdSlab(const ColdSlab&) = delete;
-    ColdSlab& operator=(const ColdSlab&) = delete;
-
-    static constexpr int kClasses = 8;  ///< capacities 1, 2, 4, ..., 128
-
-    /// A block for class `cls` (block_bytes = the class's fixed size, a
-    /// multiple of 16): freelist head if one is free, else carved from the
-    /// current chunk's bump pointer.
-    [[nodiscard]] void* take(int cls, std::size_t block_bytes) {
-      if (void* p = free_[static_cast<std::size_t>(cls)]; p != nullptr) {
-        free_[static_cast<std::size_t>(cls)] = next_of(p);
-        return p;
-      }
-      if (static_cast<std::size_t>(chunk_end_ - bump_) < block_bytes)
-        new_chunk(block_bytes);
-      void* p = bump_;
-      bump_ += block_bytes;
-      return p;
-    }
-
-    /// Return a block to its class freelist.  The link lives at byte
-    /// offset 8, leaving the record's leading magic word intact as the
-    /// reclaim poison (ColdRecord::kDeadMagic).
-    void put(int cls, void* p) {
-      next_of(p) = free_[static_cast<std::size_t>(cls)];
-      free_[static_cast<std::size_t>(cls)] = p;
-    }
-
-    /// Bytes of chunk memory reserved.  Monotone — freelists recycle
-    /// *inside* chunks and chunks live until the engine dies — so the
-    /// current value is also the peak.
-    [[nodiscard]] std::uint64_t reserved_bytes() const noexcept {
-      return reserved_;
-    }
-
-   private:
-    static constexpr std::size_t kChunkBytes = std::size_t{1} << 16;  // 64 KiB
-
-    [[nodiscard]] static void*& next_of(void* p) noexcept {
-      return *reinterpret_cast<void**>(static_cast<std::byte*>(p) + 8);
-    }
-
-    void new_chunk(std::size_t min_bytes) {
-      const std::size_t n = std::max(kChunkBytes, min_bytes);
-      chunks_.push_back(std::make_unique<std::byte[]>(n));
-      bump_ = chunks_.back().get();
-      chunk_end_ = bump_ + n;
-      reserved_ += n;
-    }
-
-    std::array<void*, kClasses> free_{};
-    std::byte* bump_ = nullptr;
-    std::byte* chunk_end_ = nullptr;
-    std::vector<std::unique_ptr<std::byte[]>> chunks_;
-    std::uint64_t reserved_ = 0;
-  };
-
   struct Node;        // defined with the storage arena below
-  struct ColdRecord;  // slab-resident expansion payload, defined with Node
+  struct ColdRecord;  // expansion payload, defined with Node
 
  public:
   // --- executor protocol -------------------------------------------------
@@ -339,15 +269,12 @@ class Engine {
   }
 
   /// A queue entry whose node finished or died before it was popped
-  /// (requires mu_): charge the ledger's kDeadDrop cancel row, trace it,
-  /// and return the node's own expansion payload.  Deeper dead descendants
-  /// are reclaimed lazily, at their own pops and commits.
+  /// (requires mu_): charge the ledger's kDeadDrop cancel row and trace it.
   void drop_dead(std::uint32_t id) {
     waste_.cancels[static_cast<std::size_t>(WasteCause::kDeadDrop)]
                   [waste_band_of(static_cast<std::uint32_t>(nodes_[id].ply))] +=
         1;
     trace_instant(obs::EventKind::kSpecCancel, id, /*arg=*/0);
-    reclaim_cold(id);
   }
 
   /// Finish `id` through a pop-time cutoff (requires mu_).  `traced`: the
@@ -375,7 +302,7 @@ class Engine {
   /// vector is cleared but keeps its capacity, so an executor that recycles
   /// ComputeResults across units makes the expansion path allocation-free
   /// at steady state (the commit side *copies* child positions into the
-  /// cold slab, so the buffer always comes back intact).  The shared
+  /// node's cold record, so the buffer always comes back intact).  The shared
   /// transposition table is only read/written here, never by
   /// acquire/commit, so concurrent compute calls share it freely.
   void compute_into(const WorkItem& item, ComputeResult& out) const {
@@ -421,13 +348,13 @@ class Engine {
       }
       case WorkKind::kSerialRefuteRest: {
         // The frozen child order lives in the node's cold record, read
-        // lock-free here: the node is in flight for exactly this unit, and
-        // reclaim_cold never touches an in-flight node's record.
+        // lock-free here: the Eval_first commit that attached it ran before
+        // this unit was acquired, and nothing writes it again.
         const ColdRecord* c = n.cold;
         ERS_CHECK(c != nullptr);
         const SearchResult r = searcher.refute_rest_from(
             pos, n.ply, item.window, item.tentative,
-            std::span<const Position>(c->positions(), c->count));
+            std::span<const Position>(c->positions));
         out.value = r.value;
         out.stats = r.stats;
         break;
@@ -512,7 +439,7 @@ class Engine {
     std::scoped_lock lk(mu_);
     const std::uint32_t b = nodes_[0].best_child;
     if (b == kNoNode) return std::nullopt;
-    return positions_[b];  // the position arena is never reclaimed
+    return positions_[b];
   }
 
   /// Aggregate engine counters (a snapshot by value).
@@ -534,40 +461,20 @@ class Engine {
     return EngineLockStats{lock_acquisitions_, lock_wait_ns_, lock_hold_ns_};
   }
 
-  /// Memory-occupancy snapshot of the two-tier node storage: hot/position
-  /// arena bytes plus the cold-record counters and slab bytes (heap-class
-  /// records — more than 128 children — count in cold_live but not
-  /// slab_bytes).  Every total is monotone (see EngineMemStats), so
-  /// peak_bytes is the current reserved sum.
+  /// Memory-occupancy snapshot of the two-tier node storage: hot and
+  /// position arena bytes plus the cold records and their bytes.  Nothing
+  /// is freed before the engine dies (see EngineMemStats), so peak_bytes is
+  /// the current sum.
   [[nodiscard]] EngineMemStats mem_stats() const {
     std::scoped_lock lk(mu_);
     EngineMemStats m;
     m.live_nodes = nodes_.size();
     m.hot_bytes = nodes_.reserved_bytes();
     m.position_bytes = positions_.reserved_bytes();
-    m.cold_allocated = cold_allocated_;
-    m.cold_live = cold_live_;
-    m.cold_reclaimed = cold_reclaimed_;
-    m.slab_bytes = slab_.reserved_bytes();
-    m.peak_bytes = m.hot_bytes + m.position_bytes + m.slab_bytes;
+    m.cold_allocated = cold_.size();
+    m.cold_bytes = cold_bytes_;
+    m.peak_bytes = m.hot_bytes + m.position_bytes + m.cold_bytes;
     return m;
-  }
-
-  /// Test hooks for the reclamation protocol (tests/core/engine_test.cpp).
-  /// debug_cold_ptr returns the node's current cold record — null before
-  /// expansion and again after reclamation; debug_assert_cold_live
-  /// re-checks a previously captured pointer's magic word, tripping the
-  /// same ERS_DCHECK the engine's own checked_cold accessor uses (the
-  /// use-after-reclaim death test drives exactly this path — reclaimed
-  /// blocks are poisoned, never unmapped, so the read itself is safe).
-  [[nodiscard]] const void* debug_cold_ptr(std::uint32_t id) const {
-    std::scoped_lock lk(mu_);
-    return nodes_[id].cold;
-  }
-  static void debug_assert_cold_live(const void* rec) {
-    ERS_DCHECK(rec != nullptr &&
-               static_cast<const ColdRecord*>(rec)->magic ==
-                   ColdRecord::kLiveMagic);
   }
 
  private:
@@ -657,13 +564,6 @@ class Engine {
         commit_expand(item.node, r);
         break;
     }
-    // A node that finished or died while this unit was in flight kept its
-    // cold record alive through the flight (compute may read it lock-free);
-    // release it now that the unit has landed.  Nodes finished by this very
-    // commit already reclaimed inside finish_and_combine unless they were
-    // still in flight then — which is exactly this unit, now landed.
-    if (n.cold != nullptr && !n.in_flight && (n.finished || is_dead(item.node)))
-      reclaim_cold(item.node);
   }
 
   /// Ranking keys for the speculative queue under the configured policy.
@@ -755,7 +655,7 @@ class Engine {
   }
 
   [[nodiscard]] int child_count(const Node& n) const {
-    return n.cold != nullptr ? static_cast<int>(n.cold->count) : 0;
+    return n.cold != nullptr ? static_cast<int>(n.cold->positions.size()) : 0;
   }
 
   /// Children that can still be promoted to e-child: dormant (not queued,
@@ -769,9 +669,7 @@ class Engine {
   [[nodiscard]] std::uint32_t best_promotion_candidate(const Node& p) const {
     std::uint32_t best = kNoNode;
     if (p.cold == nullptr) return best;
-    const std::uint32_t* kids = p.cold->child_nodes();
-    for (std::uint32_t i = 0; i < p.cold->count; ++i) {
-      const std::uint32_t c = kids[i];
+    for (const std::uint32_t c : p.cold->child_nodes) {
       if (c == kNoNode || !is_promotion_candidate(c)) continue;
       if (best == kNoNode || nodes_[c].value < nodes_[best].value) best = c;
     }
@@ -798,8 +696,8 @@ class Engine {
     n.value = std::max<Value>(n.value, r.value);
     // Resolve-before-store: a node that is already done (or cut off against
     // the parent's current bound) never reads its frozen child order, so
-    // the done check runs first and a cold record is allocated only for
-    // survivors — an immediately-resolved cutover node costs no slab block.
+    // the done check runs first and a cold record is attached only to
+    // survivors — an immediately-resolved cutover node costs no record.
     // (Done-path semantics are unchanged: nothing on it consults the
     // positions, and no pushes happen either way.)
     if (r.is_done || n.value >= beta_of(id)) {
@@ -839,12 +737,12 @@ class Engine {
     switch (n.type) {
       case NodeType::kENode: {
         // Generate all (missing) children as undecided (Table 1 row 1).
-        const bool e_child_done = c->child_nodes()[0] != kNoNode &&
-                                  nodes_[c->child_nodes()[0]].finished;
+        const bool e_child_done = c->child_nodes[0] != kNoNode &&
+                                  nodes_[c->child_nodes[0]].finished;
         // Create in reverse index order: the primary queue is LIFO among
         // equals, so pops then visit the children left to right.
         for (int i = child_count(n) - 1; i >= 0; --i)
-          if (c->child_nodes()[i] == kNoNode)
+          if (c->child_nodes[i] == kNoNode)
             make_child(id, i, NodeType::kUndecided);
         if (e_child_done) {
           // A promoted e-child arrives with its first child — the elder
@@ -862,12 +760,12 @@ class Engine {
       }
       case NodeType::kUndecided:
         // Elder-grandchild evaluation: first child only, as an e-node.
-        if (c->child_nodes()[0] == kNoNode) make_child(id, 0, NodeType::kENode);
+        if (c->child_nodes[0] == kNoNode) make_child(id, 0, NodeType::kENode);
         break;
       case NodeType::kRNode:
         if (c->generated == 0) {
           make_child(id, 0, NodeType::kENode);
-        } else if (c->generated < static_cast<std::int32_t>(c->count)) {
+        } else if (c->generated < child_count(n)) {
           // Refutation proceeds one child at a time (Table 1 row 4).
           make_child(id, c->generated, NodeType::kRNode);
         }
@@ -878,11 +776,11 @@ class Engine {
   void make_child(std::uint32_t parent_id, int index, NodeType type) {
     Node& p = nodes_[parent_id];
     ColdRecord* pc = checked_cold(p);
-    ERS_CHECK(pc->child_nodes()[index] == kNoNode);
+    ERS_CHECK(pc->child_nodes[index] == kNoNode);
     // Arena slots never move: growth never invalidates existing references.
     const std::uint32_t child_id =
-        make_node(pc->positions()[index], parent_id, p.ply + 1, type, index);
-    pc->child_nodes()[index] = child_id;
+        make_node(pc->positions[index], parent_id, p.ply + 1, type, index);
+    pc->child_nodes[index] = child_id;
     pc->generated += 1;
     push_primary(child_id);
   }
@@ -927,12 +825,10 @@ class Engine {
       Node& n = nodes_[cur];
       n.finished = true;
       n.set_on_spec(false);  // lazily invalidates any spec entry
-      // The finish kills cur's subtree: reclaim cur's own cold record and
-      // the records of its freshly dead unfinished children.  In-flight
-      // records are skipped; their commit_one reclaims on landing.  Deeper
-      // dead descendants are reclaimed lazily at their own pops and
-      // commits.
-      reclaim_finished(cur, cause);
+      // The finish kills cur's unfinished children: charge their subtrees
+      // to the waste ledger.  Their records stay; pop-time dropping
+      // discards whatever work the dead subtree still queues.
+      charge_killed_children(cur, cause);
       if (cur == 0) {
         done_.store(true, std::memory_order_release);
         return;
@@ -944,10 +840,11 @@ class Engine {
         p.value = negate(n.value);
         p.best_child = cur;  // strict raise: an exactly-evaluated child
       }
-      p.bump_finished_children();  // no-op for a dead, already-reclaimed p
+      ColdRecord* pc = checked_cold(p);  // a parent is always expanded
+      pc->finished_children += 1;
       count_elder(pid, cur);  // cur is certainly evaluated-or-finished now
       if (n.type == NodeType::kENode && p.type == NodeType::kENode)
-        p.set_e_child_evaluated();
+        pc->e_child_evaluated = true;
       if (is_node_complete(pid)) {
         cur = pid;  // keep backing up
         continue;
@@ -969,7 +866,7 @@ class Engine {
     Node& c = nodes_[child_id];
     if (c.elder_counted) return false;
     c.elder_counted = true;
-    nodes_[parent_id].bump_elder_done();  // no-op for a dead, reclaimed parent
+    checked_cold(nodes_[parent_id])->elder_done += 1;
     return true;
   }
 
@@ -1044,9 +941,7 @@ class Engine {
     // itself): no per-dispatch allocation at steady state.
     std::vector<std::uint32_t>& undecided = scratch_undecided_;
     undecided.clear();
-    const std::uint32_t* kids = rec->child_nodes();
-    for (std::uint32_t i = 0; i < rec->count; ++i) {
-      const std::uint32_t c = kids[i];
+    for (const std::uint32_t c : rec->child_nodes) {
       if (c == kNoNode) continue;
       const Node& cn = nodes_[c];
       if (!cn.finished && cn.type == NodeType::kUndecided) undecided.push_back(c);
@@ -1148,79 +1043,35 @@ class Engine {
 
   // --- node storage (two-tier; DESIGN.md §15) -------------------------------
 
-  /// Cold expansion record: everything a node needs only between its
-  /// expansion and its finish — the frozen child positions, the child-node
-  /// ids, and the ER phase bookkeeping.  Lives in the slab (Node::cold),
-  /// touched only under mu_ except for the lock-free compute-phase reads
-  /// on the node's *own* in-flight unit (kExpand's expanded check,
-  /// kSerialRefuteRest's frozen child order), which the reclaimer's
-  /// !in_flight guard keeps safe.  The child arrays are laid out inline
-  /// after this header, sized at expansion:
-  ///
-  ///     [ColdRecord][cap × Position][cap × child-node id]   (bytes_for)
+  /// Cold expansion record: everything a node needs from its expansion on
+  /// — the frozen child positions, the child-node ids, and the ER phase
+  /// bookkeeping.  Attached once, inside the node's own commit
+  /// (attach_cold), and kept in cold_ until the engine dies.  Touched only
+  /// under mu_, except compute()'s lock-free reads on the node's *own*
+  /// in-flight unit (kExpand's expanded check, kSerialRefuteRest's frozen
+  /// child order), which read only fields written before that unit was
+  /// acquired.
   struct ColdRecord {
-    static constexpr std::uint32_t kLiveMagic = 0xC01DFEEDu;
-    static constexpr std::uint32_t kDeadMagic = 0xDEADC01Du;
-
-    std::uint32_t magic = kLiveMagic;  ///< poisoned to kDeadMagic on reclaim
-    std::uint8_t size_class = 0;  ///< slab class; kHeapClass = operator new
+    std::vector<Position> positions;         ///< the frozen child order
+    std::vector<std::uint32_t> child_nodes;  ///< kNoNode until instantiated
     bool expanded = false;        ///< child positions computed (Table 1 ran)
     bool partial = false;         ///< cutover node: Eval_first completed
     bool on_spec = false;         ///< a live entry exists in the spec queue
     bool first_e_selected = false;
     bool e_child_evaluated = false;  ///< some promoted e-child has finished
     bool refutation_dispatched = false;
-    std::uint32_t capacity = 0;  ///< child slots allocated
-    std::uint32_t count = 0;     ///< child positions stored
     std::int32_t generated = 0;  ///< children instantiated as nodes
     std::int32_t finished_children = 0;
     std::int32_t elder_done = 0;  ///< children with tentative value / finished
     std::int32_t e_children = 0;  ///< children promoted to e-node
     std::uint32_t seq_refuting = kNoNode;  ///< sequential-refutation cursor
     std::uint64_t spec_seq = 0;
-
-    [[nodiscard]] Position* positions() noexcept {
-      return reinterpret_cast<Position*>(reinterpret_cast<std::byte*>(this) +
-                                         positions_offset());
-    }
-    [[nodiscard]] const Position* positions() const noexcept {
-      return reinterpret_cast<const Position*>(
-          reinterpret_cast<const std::byte*>(this) + positions_offset());
-    }
-    [[nodiscard]] std::uint32_t* child_nodes() noexcept {
-      return reinterpret_cast<std::uint32_t*>(
-          reinterpret_cast<std::byte*>(this) + nodes_offset(capacity));
-    }
-    [[nodiscard]] const std::uint32_t* child_nodes() const noexcept {
-      return reinterpret_cast<const std::uint32_t*>(
-          reinterpret_cast<const std::byte*>(this) + nodes_offset(capacity));
-    }
-
-    [[nodiscard]] static constexpr std::size_t align_up(
-        std::size_t v, std::size_t a) noexcept {
-      return (v + a - 1) & ~(a - 1);
-    }
-    [[nodiscard]] static constexpr std::size_t positions_offset() noexcept {
-      return align_up(sizeof(ColdRecord), alignof(Position));
-    }
-    [[nodiscard]] static constexpr std::size_t nodes_offset(
-        std::uint32_t cap) noexcept {
-      return align_up(positions_offset() + cap * sizeof(Position),
-                      alignof(std::uint32_t));
-    }
-    /// Total block bytes for `cap` child slots, rounded to 16 so slab bump
-    /// pointers stay aligned for any Position type.
-    [[nodiscard]] static constexpr std::size_t bytes_for(
-        std::uint32_t cap) noexcept {
-      return align_up(nodes_offset(cap) + cap * sizeof(std::uint32_t), 16);
-    }
   };
 
   /// Hot per-node record: at most one cache line.  Everything the
   /// scheduling predicates touch (window folds, dead checks, promotion
   /// candidacy, pop filtering) lives here; the expansion payload hangs off
-  /// `cold` and is reclaimed when the node finishes or its subtree dies
-  /// (ColdRecord above).  The game position lives in the engine's
+  /// `cold` (ColdRecord above).  The game position lives in the engine's
   /// id-parallel position arena, not in the node.  Every field is guarded
   /// by mu_, except the immutable links and the compute phase's reads of
   /// its own in-flight node's `cold`.
@@ -1232,10 +1083,10 @@ class Engine {
           child_index(index_in_parent),
           type(ty) {}
 
-    /// Cold expansion record in the slab — null before expansion and again
-    /// after reclamation.  The only lock-free readers are compute() calls
-    /// on this node's own in-flight unit, which exclude every writer
-    /// (attach and reclaim both refuse in-flight nodes).
+    /// Cold expansion record — null until the node's own expand or
+    /// Eval_first commit attaches it, then never changed, so compute()'s
+    /// lock-free read for the node's in-flight unit sees what was set
+    /// before that unit was acquired.
     ColdRecord* cold = nullptr;
 
     std::uint32_t parent;      ///< immutable
@@ -1250,9 +1101,8 @@ class Engine {
     bool in_flight = false;      ///< a worker holds this node
     bool elder_counted = false;  ///< contributed to parent's elder_done
 
-    // Cold-state readers, tolerant of a reclaimed (null) record: they
-    // answer as a node with no expansion state — exactly what a dead or
-    // finished node should look like to the scheduling predicates.
+    // Cold-state readers, tolerant of a node not yet expanded (null
+    // record): they answer as a node with no expansion state.
     [[nodiscard]] bool expanded() const noexcept {
       return cold != nullptr && cold->expanded;
     }
@@ -1286,35 +1136,21 @@ class Engine {
     [[nodiscard]] std::uint64_t spec_seq() const noexcept {
       return cold != nullptr ? cold->spec_seq : 0;
     }
-    // Writers that can legitimately run after the record died with the
-    // subtree (a finish clearing spec membership, a dead parent's child
-    // accounting) degrade to no-ops on null.
+    /// A finish clears spec membership on any node, expanded or not.
     void set_on_spec(bool v) noexcept {
       if (cold != nullptr) cold->on_spec = v;
-    }
-    void set_e_child_evaluated() noexcept {
-      if (cold != nullptr) cold->e_child_evaluated = true;
-    }
-    void bump_elder_done() noexcept {
-      if (cold != nullptr) cold->elder_done += 1;
-    }
-    void bump_finished_children() noexcept {
-      if (cold != nullptr) cold->finished_children += 1;
     }
   };
   static_assert(sizeof(Node) <= 64,
                 "hot node record must fit one cache line — move anything "
                 "bigger into ColdRecord");
 
-  /// The node's cold record, which must be live: the accessor for commit
-  /// paths only reachable while the record exists (expanded nodes that are
-  /// neither finished nor dead).  The magic re-check turns a
-  /// use-after-reclaim into an immediate ERS_DCHECK failure instead of a
-  /// silent read of recycled memory.
+  /// The node's cold record, which must exist: the accessor for commit
+  /// paths only reachable on expanded nodes (a parent, a spec-eligible or
+  /// dispatching e-node).
   [[nodiscard]] static ColdRecord* checked_cold(const Node& n) {
-    ColdRecord* c = n.cold;
-    ERS_DCHECK(c != nullptr && c->magic == ColdRecord::kLiveMagic);
-    return c;
+    ERS_DCHECK(n.cold != nullptr);
+    return n.cold;
   }
 
   /// Chunked stable-address storage, shared by the hot node records and the
@@ -1387,42 +1223,7 @@ class Engine {
     return id;
   }
 
-  // --- cold-record allocation / reclamation ---------------------------------
-
-  /// ColdRecord::size_class sentinel: more children than the largest slab
-  /// class — the block comes straight from operator new/delete.
-  static constexpr std::uint8_t kHeapClass = 0xFF;
-
-  /// Smallest power-of-two slab class holding `cap` children, or kHeapClass.
-  [[nodiscard]] static std::uint8_t size_class_for(std::uint32_t cap) noexcept {
-    std::uint8_t cls = 0;
-    std::uint32_t c = 1;
-    while (c < cap) {
-      c <<= 1;
-      ++cls;
-    }
-    return cls < ColdSlab::kClasses ? cls : kHeapClass;
-  }
-
-  /// Allocate (and placement-construct) a cold record with room for
-  /// `children` child slots.
-  [[nodiscard]] ColdRecord* alloc_cold(std::size_t children) {
-    static_assert(alignof(Position) <= alignof(std::max_align_t),
-                  "slab chunks only guarantee fundamental alignment");
-    static_assert(std::is_trivially_destructible_v<ColdRecord>);
-    ERS_DCHECK(children >= 1);
-    const auto need = static_cast<std::uint32_t>(children);
-    const std::uint8_t cls = size_class_for(need);
-    const std::uint32_t cap = cls == kHeapClass ? need : (1u << cls);
-    const std::size_t bytes = ColdRecord::bytes_for(cap);
-    void* mem = cls == kHeapClass ? ::operator new(bytes) : slab_.take(cls, bytes);
-    auto* rec = ::new (mem) ColdRecord();
-    rec->size_class = cls;
-    rec->capacity = cap;
-    ++cold_allocated_;
-    ++cold_live_;
-    return rec;
-  }
+  // --- cold records and the waste charge at kill points ---------------------
 
   /// Freeze `kids` as `id`'s child order in a fresh cold record.  The
   /// positions are *copied* — the compute buffer keeps its capacity and is
@@ -1430,67 +1231,29 @@ class Engine {
   void attach_cold(std::uint32_t id, const std::vector<Position>& kids) {
     Node& n = nodes_[id];
     ERS_DCHECK(n.cold == nullptr);
-    ColdRecord* c = alloc_cold(kids.size());
-    Position* ps = c->positions();
-    std::uint32_t* cn = c->child_nodes();
-    for (std::size_t i = 0; i < kids.size(); ++i) {
-      ::new (static_cast<void*>(ps + i)) Position(kids[i]);
-      cn[i] = kNoNode;
-    }
-    c->count = static_cast<std::uint32_t>(kids.size());
-    n.cold = c;
+    ColdRecord& c = cold_.emplace_back();
+    c.positions.assign(kids.begin(), kids.end());
+    c.child_nodes.assign(kids.size(), kNoNode);
+    cold_bytes_ += sizeof(ColdRecord) +
+                   kids.size() * (sizeof(Position) + sizeof(std::uint32_t));
+    n.cold = &c;
   }
 
-  /// Return `id`'s cold record to the slab: destroy the stored positions,
-  /// poison the magic word (use-after-reclaim detection), and push the
-  /// block onto its size-class freelist.  Refuses in-flight nodes — their
-  /// compute phase may be reading the record lock-free — and commit_one
-  /// re-runs the reclaim once the unit lands.  No-op when there is nothing
-  /// attached.
-  void reclaim_cold(std::uint32_t id) {
-    Node& n = nodes_[id];
-    ColdRecord* c = n.cold;
-    if (c == nullptr || n.in_flight) return;
-    ERS_DCHECK(c->magic == ColdRecord::kLiveMagic);
-    n.cold = nullptr;
-    const std::uint8_t cls = c->size_class;
-    Position* ps = c->positions();
-    for (std::uint32_t i = 0; i < c->count; ++i) ps[i].~Position();
-    c->magic = ColdRecord::kDeadMagic;  // poison survives in the freelist
-    if (cls == kHeapClass)
-      ::operator delete(c);
-    else
-      slab_.put(cls, c);
-    --cold_live_;
-    ++cold_reclaimed_;
-  }
-
-  /// Reclaim what a freshly finished node no longer needs: its own cold
-  /// record and the records of the unfinished children its finish just
-  /// killed (finished children already reclaimed at their own finish).
-  ///
-  /// Waste ledger (DESIGN.md §16): each killed unfinished child is a
-  /// cancelled subtree root, charged here — once — with its accumulated
-  /// uncharged subtree work and marked in waste_state_ so post-death
-  /// commits route to the same (cause, band) cell.  The charge is skipped
-  /// entirely when the finishing node already lies inside a cancelled
-  /// subtree (nearest_waste_root hit): everything below was attributed
-  /// when that subtree died.  Charging a child subtracts its tallies from
-  /// every ancestor's, so a later kill higher up charges strictly
-  /// never-before-charged work — no unit is attributed twice.
-  void reclaim_finished(std::uint32_t id, WasteCause cause) {
+  /// Waste ledger (DESIGN.md §16): each unfinished child a freshly finished
+  /// node kills is a cancelled subtree root, charged here — once — with
+  /// its accumulated uncharged subtree work and marked in waste_state_ so
+  /// post-death commits route to the same (cause, band) cell.  The charge
+  /// is skipped entirely when the finishing node already lies inside a
+  /// cancelled subtree (nearest_waste_root hit): everything below was
+  /// attributed when that subtree died.  Charging a child subtracts its
+  /// tallies from every ancestor's, so a later kill higher up charges
+  /// strictly never-before-charged work — no unit is attributed twice.
+  void charge_killed_children(std::uint32_t id, WasteCause cause) {
     const ColdRecord* c = nodes_[id].cold;
-    if (c == nullptr) return;
-    const bool already_charged = nearest_waste_root(id) != kNoNode;
-    const std::uint32_t* kids = c->child_nodes();
-    const std::uint32_t cnt = c->count;
-    for (std::uint32_t i = 0; i < cnt; ++i) {
-      const std::uint32_t ch = kids[i];
-      if (ch == kNoNode || nodes_[ch].finished) continue;
-      if (!already_charged && waste_state_[ch] == 0) charge_waste(ch, cause);
-      reclaim_cold(ch);
-    }
-    reclaim_cold(id);
+    if (c == nullptr || nearest_waste_root(id) != kNoNode) return;
+    for (const std::uint32_t ch : c->child_nodes)
+      if (ch != kNoNode && !nodes_[ch].finished && waste_state_[ch] == 0)
+        charge_waste(ch, cause);
   }
 
   /// Charge cancelled subtree root `ch` to the ledger and mark it.  The
@@ -1540,11 +1303,13 @@ class Engine {
   StableArena<Node> nodes_;  ///< stable slots: children are created while
                              ///< parent references are live
   /// Id-parallel position arena: positions_[id] is node id's game position.
-  /// Never reclaimed — best_root_position() reads the winning child after
-  /// the search and compute() reads in-flight positions lock-free — which
-  /// keeps hot records pointer-light and spares the reclamation protocol
-  /// from ever proving a position unreachable.
+  /// best_root_position() reads the winning child after the search and
+  /// compute() reads in-flight positions lock-free through stable pointers.
   StableArena<Position> positions_;
+  /// Cold records (Node::cold points in): a deque never moves an element
+  /// it already holds, and every record lives until the engine dies.
+  std::deque<ColdRecord> cold_;
+  std::uint64_t cold_bytes_ = 0;  ///< records plus their child arrays
   /// The problem heap (paper §6).
   std::priority_queue<PrimaryEntry> primary_;
   std::priority_queue<SpecEntry> spec_;
@@ -1552,10 +1317,6 @@ class Engine {
   std::uint64_t seq_ = 0;
   /// Units acquired and not yet committed (acquire()'s stall check).
   std::uint32_t in_flight_ = 0;
-  ColdSlab slab_;
-  std::uint64_t cold_allocated_ = 0;  ///< cold records ever allocated
-  std::uint64_t cold_live_ = 0;       ///< currently attached
-  std::uint64_t cold_reclaimed_ = 0;  ///< returned (finish / dead subtree)
   EngineStats stats_;
   /// Wasted-work attribution ledger (DESIGN.md §16).
   EngineWasteStats waste_;

@@ -155,20 +155,19 @@ struct EngineLockStats {
 
 /// Memory-occupancy snapshot of the engine's two-tier node storage
 /// (DESIGN.md §15): the id-stable hot arena, the id-parallel position
-/// arena, and the cold-record slab.  Every byte total is
-/// monotone — arena chunks and slab chunks are never returned before the
-/// engine is destroyed, and freelists recycle *inside* chunks — so
-/// peak_bytes is simply the current reserved total.  Exported through
-/// obs::register_engine_mem_stats as the engine.mem.* gauges.
+/// arena, and the cold records.  Nothing is freed before the engine is
+/// destroyed, so every total is monotone and peak_bytes is simply the
+/// current sum.  Exported through obs::register_engine_mem_stats as the
+/// engine.mem.* gauges.
 struct EngineMemStats {
-  std::uint64_t live_nodes = 0;      ///< nodes in the hot arena (never freed)
+  std::uint64_t live_nodes = 0;      ///< nodes in the hot arena
   std::uint64_t hot_bytes = 0;       ///< hot-record arena chunk bytes
   std::uint64_t position_bytes = 0;  ///< position arena chunk bytes
-  std::uint64_t cold_allocated = 0;  ///< cold records ever allocated
-  std::uint64_t cold_live = 0;       ///< cold records currently attached
-  std::uint64_t cold_reclaimed = 0;  ///< cold records returned (finish/dead)
-  std::uint64_t slab_bytes = 0;      ///< cold-slab chunk bytes
-  std::uint64_t peak_bytes = 0;      ///< hot + position + slab (monotone)
+  std::uint64_t cold_allocated = 0;  ///< cold records attached
+  /// Cold records plus their two child arrays (allocator overhead and the
+  /// record deque's block rounding not counted).
+  std::uint64_t cold_bytes = 0;
+  std::uint64_t peak_bytes = 0;      ///< hot + position + cold (monotone)
 };
 
 /// Why a subtree's queued/committed work was cancelled — the cause axis of

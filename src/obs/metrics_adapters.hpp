@@ -31,10 +31,8 @@ inline void register_scheduler_stats(MetricsRegistry& reg,
   reg.set(prefix + "sleeps", s.sleeps);
 }
 
-/// Node-storage occupancy gauges (DESIGN.md §15): arena/slab footprint and
-/// cold-record reclamation totals, as `engine.mem.*`.  `cold_reclaimed > 0`
-/// on a speculative workload is the observable proof that dead-subtree
-/// reclamation is running.
+/// Node-storage occupancy gauges (DESIGN.md §15): node count, the two
+/// arenas' and the cold records' bytes and their sum, as `engine.mem.*`.
 inline void register_engine_mem_stats(MetricsRegistry& reg,
                                       const core::EngineMemStats& m,
                                       const std::string& prefix = "engine.") {
@@ -42,9 +40,7 @@ inline void register_engine_mem_stats(MetricsRegistry& reg,
   reg.set(prefix + "mem.hot_bytes", m.hot_bytes);
   reg.set(prefix + "mem.position_bytes", m.position_bytes);
   reg.set(prefix + "mem.cold_allocated", m.cold_allocated);
-  reg.set(prefix + "mem.cold_live", m.cold_live);
-  reg.set(prefix + "mem.cold_reclaimed", m.cold_reclaimed);
-  reg.set(prefix + "mem.slab_bytes", m.slab_bytes);
+  reg.set(prefix + "mem.cold_bytes", m.cold_bytes);
   reg.set(prefix + "mem.peak_bytes", m.peak_bytes);
 }
 

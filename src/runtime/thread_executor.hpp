@@ -85,8 +85,8 @@ struct ThreadRunReport {
   std::uint64_t tt_hits = 0;    ///< validated, depth-covering hits
   std::uint64_t elapsed_ns = 0;  ///< wall time of the run() call
   SchedulerStats sched;          ///< aggregated across workers + engine locks
-  /// Node-storage occupancy at the end of the run — arena/slab bytes and
-  /// cold-record reclamation totals (DESIGN.md §15).
+  /// Node-storage occupancy at the end of the run: node count and the
+  /// arena and cold-record bytes (DESIGN.md §15).
   core::EngineMemStats mem;
   /// Wasted-work attribution ledger.  Unit counts are always exact;
   /// compute_ns is populated only on traced runs — untraced thread workers

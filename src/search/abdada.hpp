@@ -94,17 +94,6 @@ class AbdadaSearcher {
     return *this;
   }
 
-  /// Consult (and train) shared history/killer tables in the move loop —
-  /// TT move first when the probe carries a hint, killers and history
-  /// refining the static sort (DESIGN.md §17).  Purely advisory: the
-  /// depth-exact TT gating keeps the root value equal to serial alpha-beta
-  /// under any ordering, so sharing tables across workers never perturbs
-  /// the result.  Ignored unless G is a HashedGame; nullptr detaches.
-  AbdadaSearcher& with_ordering_tables(OrderingTables* tables) noexcept {
-    tables_ = tables;
-    return *this;
-  }
-
   /// Cooperative abort: checked at every node entry.  Once set, the search
   /// unwinds without storing to the table; aborted() reports it and the
   /// returned value must be discarded.
@@ -180,18 +169,14 @@ class AbdadaSearcher {
       return game_.evaluate(p);
     }
     [[maybe_unused]] std::uint64_t key = 0;
-    [[maybe_unused]] std::uint16_t tt_hint = 0;
     if constexpr (HashedGame<G>) {
       if (tt_ != nullptr || nproc_ != nullptr) key = p.tt_key();
       if (tt_ != nullptr) {
         tt_->prefetch(key);
         ++stats_.tt_probes;
         TtHit h;
-        // Depth-exact gating — see the header comment on determinism.  The
-        // move hint is kept from *any* validated entry: a different-depth
-        // value cannot cut off, but its best move still orders this node.
+        // Depth-exact gating — see the header comment on determinism.
         if (tt_->probe(key, h)) {
-          tt_hint = h.move_hint;
           if (h.depth == remaining) {
             ++stats_.tt_hits;
             switch (h.bound) {
@@ -231,18 +216,8 @@ class AbdadaSearcher {
       return v;
     }
     ++stats_.interior_expanded;
-    if (ordering_.should_sort(ply)) {
-      bool sorted_with_tables = false;
-      if constexpr (HashedGame<G>) {
-        if (tables_ != nullptr) {
-          sort_children_ordered(game_, kids, stats_, *tables_, ply + 1,
-                                tt_hint);
-          sorted_with_tables = true;
-        }
-      }
-      if (!sorted_with_tables)
-        sort_children_by_static_value(game_, kids, stats_);
-    }
+    if (ordering_.should_sort(ply))
+      sort_children_by_static_value(game_, kids, stats_);
     if (remaining > 1) prefetch_children(kids);
 
     if constexpr (HashedGame<G>)
@@ -289,16 +264,6 @@ class AbdadaSearcher {
     if constexpr (HashedGame<G>)
       if (nproc_ != nullptr) nproc_->leave(key);
 
-    if constexpr (HashedGame<G>) {
-      // Train the shared ordering tables on the refuting move, like
-      // er_serial's note_cutoff: killer slot at the child's ply, history
-      // credit scaled by remaining depth.
-      if (m >= beta && best_key != 0 && tables_ != nullptr && !aborted_) {
-        tables_->killers.record(ply + 1, best_key);
-        const auto r = static_cast<std::uint32_t>(remaining);
-        tables_->history.add(best_key, r * r + 1);
-      }
-    }
     tt_store(key, m, remaining, alpha, beta, m > alpha ? best_key : 0);
     return m;
   }
@@ -344,7 +309,6 @@ class AbdadaSearcher {
   int depth_;
   OrderingPolicy ordering_;
   ConcurrentTranspositionTable* tt_ = nullptr;
-  OrderingTables* tables_ = nullptr;
   NprocTable* nproc_ = nullptr;
   const std::atomic<bool>* stop_ = nullptr;
   obs::TraceSession* session_ = nullptr;

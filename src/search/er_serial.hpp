@@ -172,8 +172,8 @@ class ErSerialSearcher {
   /// Figure 8's Refute_rest applied at (pos, ply): finish a node whose
   /// first child already contributed `tentative`; `children` must be the
   /// exact order eval_first_from produced (the expansion is not recounted).
-  /// Takes a span so the parallel engine can pass its slab-frozen child
-  /// array without materializing a vector.
+  /// Takes a span so the parallel engine can pass the child order frozen
+  /// in its cold record without copying it.
   [[nodiscard]] SearchResult refute_rest_from(
       const Position& pos, int ply, Window w, Value tentative,
       std::span<const Position> children) {

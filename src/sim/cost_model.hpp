@@ -32,19 +32,12 @@ struct CostModel {
   /// from simulating faster than the work it actually did.
   std::uint64_t per_tt_probe = 1;
   std::uint64_t per_tt_store = 1;
-  /// Allocator cost of materializing one interior node's child storage
-  /// (DESIGN.md §15).  The two-tier engine allocates one slab block per
-  /// expansion (freelist-recycled); the old layout paid two mallocs.  0
-  /// (the default) keeps every existing simulated figure bit-identical;
-  /// raise it to study allocator pressure on the expansion path.
-  std::uint64_t per_node_alloc = 0;
 
   /// Cost of the computation a unit performed, from its work counters.
   [[nodiscard]] std::uint64_t of(const SearchStats& s) const noexcept {
     return per_unit_base + per_interior * s.interior_expanded +
            per_leaf * s.leaves_evaluated + per_sort_eval * s.sort_evals +
-           per_tt_probe * s.tt_probes + per_tt_store * s.tt_stores +
-           per_node_alloc * s.interior_expanded;
+           per_tt_probe * s.tt_probes + per_tt_store * s.tt_stores;
   }
 
   /// Cost of an entire serial search with the same accounting — the

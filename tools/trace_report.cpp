@@ -45,8 +45,7 @@ int print_memory_section(const std::string& path) {
   static constexpr const char* kMemKeys[] = {
       "engine.mem.live_nodes",     "engine.mem.hot_bytes",
       "engine.mem.position_bytes", "engine.mem.cold_allocated",
-      "engine.mem.cold_live",      "engine.mem.cold_reclaimed",
-      "engine.mem.slab_bytes",     "engine.mem.peak_bytes",
+      "engine.mem.cold_bytes",     "engine.mem.peak_bytes",
   };
   std::printf("\nmemory (engine node storage, %s):\n", path.c_str());
   bool any = false;
