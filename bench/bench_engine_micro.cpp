@@ -56,7 +56,7 @@ BENCHMARK(BM_RandomTreeChildren);
 
 void BM_OthelloGenerateChildren(benchmark::State& state) {
   // The call the searchers make at every interior node: the mover's legal
-  // moves, then one apply_move (flips plus incremental hash) per child.
+  // moves, then one apply_move (flips and the new bitboards) per child.
   // Arg is the paper root O1..O3.
   const othello::OthelloGame g(othello::paper_position(static_cast<int>(state.range(0))));
   const othello::OthelloGame::Position root = g.root();

@@ -37,11 +37,12 @@ concept Game = requires(const G& g, const typename G::Position& p,
 /// generate_children may grow a buffer past it.
 inline constexpr std::size_t kChildReserve = 32;
 
-/// Games whose positions carry a cheap 64-bit transposition key (maintained
-/// incrementally, so reading it is free on the search hot path).  Positions
-/// that compare equal must have equal keys; distinct positions collide with
-/// the usual 2^-64 transposition-table risk.  Searches probe/store shared
-/// transposition tables only for games satisfying this concept.
+/// Games whose positions yield a cheap 64-bit transposition key (a field
+/// read for random trees, a few multiplies for Othello), which searches ask
+/// for only when a table is attached.  Positions that compare equal must
+/// have equal keys; distinct positions collide with the usual 2^-64
+/// transposition-table risk.  Searches probe/store shared transposition
+/// tables only for games satisfying this concept.
 template <typename G>
 concept HashedGame = Game<G> && requires(const typename G::Position& p) {
   { p.tt_key() } -> std::convertible_to<std::uint64_t>;

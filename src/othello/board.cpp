@@ -64,7 +64,6 @@ Board board_from_ascii(const std::string& art, Player to_move) {
   }
   ERS_CHECK(rank == 0);
   ERS_CHECK((b.black & b.white) == 0);
-  b.rehash();
   return b;
 }
 

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "othello/bitboard.hpp"
-#include "othello/zobrist_keys.hpp"
 #include "util/check.hpp"
 
 namespace ers::othello {
@@ -19,31 +18,13 @@ enum class Player : std::uint8_t { Black = 0, White = 1 };
   return p == Player::Black ? Player::White : Player::Black;
 }
 
-/// Full Zobrist hash of a disc configuration (O(discs)); the cold path used
-/// to seed `Board::hash`, which move application then maintains in
-/// O(flipped discs).
-[[nodiscard]] constexpr std::uint64_t zobrist_of(Bitboard black, Bitboard white,
-                                                 Player to_move) noexcept {
-  std::uint64_t h = to_move == Player::White ? kZobristWhiteToMove : 0;
-  while (black != 0) h ^= kZobristBlack[pop_lsb(black)];
-  while (white != 0) h ^= kZobristWhite[pop_lsb(white)];
-  return h;
-}
-
 /// Full game state.  `black`/`white` are disjoint disc sets; `to_move` is the
 /// side whose turn it is (a side with no legal move must pass; the game ends
 /// when neither side can move).
-///
-/// `hash` is the position's Zobrist key, maintained *incrementally* by
-/// apply_move/apply_pass so transposition-table keying never rescans the
-/// board on the search hot path.  It is a cache, not state: equality ignores
-/// it, and code that assembles a Board field-by-field (tests, parsers) must
-/// call rehash() before using the board with a transposition table.
 struct Board {
   Bitboard black = 0;
   Bitboard white = 0;
   Player to_move = Player::Black;
-  std::uint64_t hash = 0;
 
   [[nodiscard]] constexpr Bitboard own() const noexcept {
     return to_move == Player::Black ? black : white;
@@ -54,11 +35,7 @@ struct Board {
   [[nodiscard]] constexpr Bitboard occupied() const noexcept { return black | white; }
   [[nodiscard]] constexpr Bitboard empty() const noexcept { return ~occupied(); }
 
-  constexpr void rehash() noexcept { hash = zobrist_of(black, white, to_move); }
-
-  friend constexpr bool operator==(const Board& a, const Board& b) noexcept {
-    return a.black == b.black && a.white == b.white && a.to_move == b.to_move;
-  }
+  friend constexpr bool operator==(const Board&, const Board&) noexcept = default;
 };
 
 /// The standard initial position (black to move).
@@ -67,7 +44,6 @@ struct Board {
   b.white = bit(square_from_name("d4")) | bit(square_from_name("e5"));
   b.black = bit(square_from_name("e4")) | bit(square_from_name("d5"));
   b.to_move = Player::Black;
-  b.rehash();
   return b;
 }
 
@@ -145,8 +121,6 @@ namespace detail {
 }
 
 /// Apply a disc placement for the side to move; the move must be legal.
-/// The Zobrist hash is updated incrementally: one key for the placed disc,
-/// one per flipped disc (its color swap), one for the side to move.
 [[nodiscard]] constexpr Board apply_move(const Board& b, int square) noexcept {
   const Bitboard flips = flips_for(b.own(), b.opp(), square);
   Board next = b;
@@ -154,16 +128,11 @@ namespace detail {
   if (b.to_move == Player::Black) {
     next.black = b.black | placed | flips;
     next.white = b.white & ~flips;
-    next.hash ^= kZobristBlack[square];
   } else {
     next.white = b.white | placed | flips;
     next.black = b.black & ~flips;
-    next.hash ^= kZobristWhite[square];
   }
-  Bitboard flipped = flips;
-  while (flipped != 0) next.hash ^= kZobristFlip[pop_lsb(flipped)];
   next.to_move = opponent_of(b.to_move);
-  next.hash ^= kZobristWhiteToMove;
   return next;
 }
 
@@ -171,7 +140,6 @@ namespace detail {
 [[nodiscard]] constexpr Board apply_pass(const Board& b) noexcept {
   Board next = b;
   next.to_move = opponent_of(b.to_move);
-  next.hash ^= kZobristWhiteToMove;
   return next;
 }
 

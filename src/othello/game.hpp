@@ -7,6 +7,7 @@
 #include "gametree/game.hpp"
 #include "othello/board.hpp"
 #include "othello/eval.hpp"
+#include "util/rng.hpp"
 #include "util/value.hpp"
 
 namespace ers::othello {
@@ -16,20 +17,21 @@ class OthelloGame {
   struct Position {
     Board board;
 
-    /// Zobrist key for transposition tables; incrementally maintained by the
-    /// Othello rules, so this is a plain field read (HashedGame).
-    [[nodiscard]] std::uint64_t tt_key() const noexcept { return board.hash; }
+    /// Key for transposition and ordering tables (HashedGame), mixed from
+    /// the two bitboards and the side to move when a table asks for it.
+    /// A pure function of the board, so every move order that reaches a
+    /// position gives it the same key.
+    [[nodiscard]] std::uint64_t tt_key() const noexcept {
+      const auto side = static_cast<std::uint64_t>(board.to_move);
+      return hash_combine(splitmix64(board.black) ^ side, board.white);
+    }
 
     friend bool operator==(const Position&, const Position&) = default;
   };
 
   OthelloGame() : root_{initial_board()}, weights_(default_weights()) {}
   explicit OthelloGame(Board root, EvalWeights weights = default_weights())
-      : root_{root}, weights_(weights) {
-    // Defend against hand-assembled root boards whose cached hash is stale;
-    // every descendant hash is derived incrementally from this one.
-    root_.board.rehash();
-  }
+      : root_{root}, weights_(weights) {}
 
   [[nodiscard]] Position root() const noexcept { return root_; }
 

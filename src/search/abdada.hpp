@@ -32,9 +32,9 @@
 //     value equals serial alpha-beta at the same depth, for any thread
 //     count and any schedule — the determinism the tests pin down.
 //   * Positions are copied, not played/unplayed in place: every game in
-//     this library exposes immutable positions with incrementally
-//     maintained hashes (othello::Board updates its Zobrist key per move),
-//     so "unplay" is dropping the copy.
+//     this library exposes small immutable positions (an Othello position
+//     is two bitboards and the side to move, keyed on demand), so "unplay"
+//     is dropping the copy.
 //   * Horizon leaves (remaining depth 0) stay out of both shared tables:
 //     they are evaluated right after the stop check, with no probe, store
 //     or exclusivity check.  A leaf's entry saves at most one static
@@ -226,7 +226,6 @@ class AbdadaSearcher {
     // Phase one: the eldest son unconditionally, younger siblings
     // exclusively — a busy younger sibling is deferred, not waited on.
     Value m = alpha;
-    std::uint64_t best_key = 0;
     std::array<std::uint32_t, kMaxDeferred> deferred;
     std::size_t n_deferred = 0;
     for (std::size_t i = 0; i < kids.size() && m < beta; ++i) {
@@ -239,7 +238,6 @@ class AbdadaSearcher {
       const Value t = negate(raw);
       if (t > m) {
         m = t;
-        best_key = key_of(kids[i]);
         if (ply == root_ply_) best_root_ = kids[i];
       }
     }
@@ -256,7 +254,6 @@ class AbdadaSearcher {
           negate(visit(kids[i], negate(beta), negate(m), ply + 1, false));
       if (t > m) {
         m = t;
-        best_key = key_of(kids[i]);
         if (ply == root_ply_) best_root_ = kids[i];
       }
     }
@@ -264,31 +261,20 @@ class AbdadaSearcher {
     if constexpr (HashedGame<G>)
       if (nproc_ != nullptr) nproc_->leave(key);
 
-    tt_store(key, m, remaining, alpha, beta, m > alpha ? best_key : 0);
+    tt_store(key, m, remaining, alpha, beta);
     return m;
   }
 
-  /// The position's key, 0 for non-hashed games.
-  [[nodiscard]] static std::uint64_t key_of(
-      [[maybe_unused]] const typename G::Position& p) noexcept {
-    if constexpr (HashedGame<G>)
-      return p.tt_key();
-    else
-      return 0;
-  }
-
   /// Store a completed fail-hard result, classified against the window it
-  /// was searched with; `best_key` (0 = none) becomes the entry's move
-  /// hint.  Poisoned by abort: a value computed from a half-unwound
-  /// subtree must never reach the shared table.
+  /// was searched with.  No move hint: ABDADA reads only an entry's depth,
+  /// bound and value.  Poisoned by abort: a value computed from a
+  /// half-unwound subtree must never reach the shared table.
   void tt_store([[maybe_unused]] std::uint64_t key, [[maybe_unused]] Value v,
                 [[maybe_unused]] int remaining, [[maybe_unused]] Value alpha,
-                [[maybe_unused]] Value beta,
-                [[maybe_unused]] std::uint64_t best_key = 0) {
+                [[maybe_unused]] Value beta) {
     if constexpr (HashedGame<G>) {
       if (tt_ == nullptr || aborted_) return;
-      tt_->store(key, v, remaining, classify_bound(v, alpha, beta),
-                 best_key != 0 ? move_fingerprint(best_key) : std::uint16_t{0});
+      tt_->store(key, v, remaining, classify_bound(v, alpha, beta));
       ++stats_.tt_stores;
     }
   }

@@ -106,12 +106,14 @@ class AlphaBetaSearcher {
         hooks_.order(game_, kids, ply + 1, ordering_.should_sort(ply),
                      h.move_hint, stats_);
         Value m = alpha;
-        std::uint64_t best_key = 0;
+        // The child that raised m, keyed only at the store: deeper plies
+        // fill other buffers, so the pointer into this one stays valid.
+        const Position* best = nullptr;
         for (const Position& k : kids) {
           const Value t = negate(visit(k, negate(beta), negate(m), ply + 1));
           if (t > m) {
             m = t;
-            best_key = TableHooks<G>::key_of(k);
+            best = &k;
             if (ply == root_ply_) best_root_ = k;
           }
           if (m >= beta) {
@@ -119,7 +121,8 @@ class AlphaBetaSearcher {
             break;
           }
         }
-        hooks_.store(p, m, remaining, alpha, beta, stats_, best_key);
+        hooks_.store(p, m, remaining, alpha, beta, stats_,
+                     best != nullptr ? hooks_.hint_key(*best) : 0);
         return m;
       }
     }

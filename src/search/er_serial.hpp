@@ -188,7 +188,7 @@ class ErSerialSearcher {
     // Keep the tentative value (see header comment); it came from the first
     // child, the hint candidate until a later child raises it.
     std::uint64_t best_key =
-        tentative > w.alpha ? TableHooks<G>::key_of(children.front()) : 0;
+        tentative > w.alpha ? hooks_.hint_key(children.front()) : 0;
     Value v = std::max(tentative, w.alpha);
     // The window may have tightened since Eval_first ran; the tentative
     // value alone can already refute the node.
@@ -198,7 +198,7 @@ class ErSerialSearcher {
                                     ply + 1, /*e_node=*/false));
       if (t > v) {
         v = t;
-        best_key = TableHooks<G>::key_of(children[i]);
+        best_key = hooks_.hint_key(children[i]);
       }
       if (v >= w.beta) hooks_.note_cutoff(children[i], ply + 1, remaining);
     }
@@ -301,7 +301,7 @@ class ErSerialSearcher {
       if (c.done) {
         if (t > p.value) {
           p.value = t;
-          best_key = TableHooks<G>::key_of(c.pos);
+          best_key = hooks_.hint_key(c.pos);
           if (ply == root_ply_) best_root_ = c.pos;
         }
         if (p.value >= beta) {
@@ -320,7 +320,7 @@ class ErSerialSearcher {
       const Value t = negate(refute_rest(c, negate(beta), negate(p.value), ply + 1));
       if (t > p.value) {
         p.value = t;
-        best_key = TableHooks<G>::key_of(c.pos);
+        best_key = hooks_.hint_key(c.pos);
         if (ply == root_ply_) best_root_ = c.pos;
       }
       if (p.value >= beta) {
@@ -382,7 +382,7 @@ class ErSerialSearcher {
     // The tentative value (if it survives max against alpha) came from the
     // first child, making it the hint candidate until a later child raises.
     std::uint64_t best_key =
-        p.value > alpha ? TableHooks<G>::key_of(p.kids.front().pos) : 0;
+        p.value > alpha ? hooks_.hint_key(p.kids.front().pos) : 0;
     // Keep the tentative value from Eval_first (see header comment).
     p.value = std::max(p.value, alpha);
     // The parent's bound may have tightened since Eval_first ran; the
@@ -399,7 +399,7 @@ class ErSerialSearcher {
         t = negate(refute_rest(c, negate(beta), negate(p.value), ply + 1));
       if (t > p.value) {
         p.value = t;
-        best_key = TableHooks<G>::key_of(c.pos);
+        best_key = hooks_.hint_key(c.pos);
       }
       if (p.value >= beta) {
         hooks_.note_cutoff(c.pos, ply + 1, depth_ - ply);

@@ -25,12 +25,16 @@ struct TableHooks {
   ConcurrentTranspositionTable* tt = nullptr;  ///< not owned; null = none
   OrderingTables* tables = nullptr;            ///< not owned; null = none
 
-  /// The position's table key; 0 for non-hashed games.
-  [[nodiscard]] static std::uint64_t key_of(const Position& p) noexcept {
-    if constexpr (HashedGame<G>)
-      return p.tt_key();
-    else
+  /// The key `store` takes as the move hint when `p` produced a value; 0
+  /// without a table (or for non-hashed games), so no search keys a child
+  /// that no table would hold.
+  [[nodiscard]] std::uint64_t hint_key(const Position& p) const noexcept {
+    if constexpr (HashedGame<G>) {
+      return tt != nullptr ? p.tt_key() : 0;
+    } else {
+      (void)p;
       return 0;
+    }
   }
 
   /// Probe the table for `p`.  `out` is filled whenever an entry validates

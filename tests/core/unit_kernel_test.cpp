@@ -102,7 +102,7 @@ TEST(UnitKernelDifferential, OthelloMatchesSerialAlphaBeta) {
   paper_sort.max_sort_ply = 6;
   for (int idx = 1; idx <= 3; ++idx) {
     const othello::OthelloGame g(othello::paper_position(idx));
-    sweep(g, 4, paper_sort, "O" + std::to_string(idx));
+    sweep(g, 4, paper_sort, std::string("O").append(std::to_string(idx)));
   }
 }
 

@@ -15,7 +15,6 @@
 
 #include "othello/eval.hpp"
 #include "othello/game.hpp"
-#include "othello/zobrist.hpp"
 #include "util/rng.hpp"
 
 namespace ers::othello {
@@ -188,8 +187,6 @@ Outcome compare_with_reference(const Board& b) {
     const Board next = apply_move(b, sq);
     if (next != ref_play(g, b.to_move, sq, mover.flips[sq]))
       return fail(b.to_move, "apply_move " + square_name(sq));
-    if (next.hash != zobrist_hash(next))
-      return fail(b.to_move, "apply_move hash " + square_name(sq));
   }
   return Outcome{game_over, ""};
 }
@@ -214,7 +211,6 @@ Board random_board(Xoshiro256StarStar& rng, int kind) {
     }
   }
   b.to_move = rng.below(2) == 0 ? Player::Black : Player::White;
-  b.rehash();
   return b;
 }
 
@@ -276,7 +272,6 @@ TEST(KernelReference, SelfPlayPositionsMatchNaiveReference) {
       const Outcome r = compare_with_reference(p.board);
       ASSERT_TRUE(r.mismatch.empty())
           << "game " << i << ": " << r.mismatch << "\n" << to_string(p.board);
-      ASSERT_EQ(p.board.hash, zobrist_hash(p.board)) << to_string(p.board);
 
       kids.clear();
       game.generate_children(p, kids);

@@ -1,22 +1,22 @@
 // Transposition-table search: AlphaBetaSearcher with a shared
 // ConcurrentTranspositionTable attached (the path the engine's unit kernel
-// runs), and the Othello Zobrist keys it probes with.  The table's own
+// runs), and the Othello position keys it probes with.  The table's own
 // replacement and packing rules are tested in concurrent_ttable_test.cpp.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <initializer_list>
 #include <tuple>
 #include <vector>
 
 #include "othello/game.hpp"
 #include "othello/positions.hpp"
-#include "othello/zobrist.hpp"
 #include "randomtree/random_tree.hpp"
 #include "search/alpha_beta.hpp"
 #include "search/concurrent_ttable.hpp"
 #include "search/negmax.hpp"
-#include "util/rng.hpp"
 
 namespace ers {
 namespace {
@@ -27,56 +27,64 @@ SearchResult search_with_table(const G& g, int depth,
   return AlphaBetaSearcher<G>(g, depth).with_shared_table(&table).run();
 }
 
-TEST(Zobrist, IncrementalHashMatchesFullRecompute) {
-  // Walk seeded playouts; Board::hash is maintained move by move and must
-  // always equal the from-scratch hash of the resulting position.
-  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    othello::Board b = othello::initial_board();
-    std::uint64_t rng = seed;
-    for (int step = 0; step < 40 && !othello::is_game_over(b); ++step) {
-      auto moves = othello::legal_moves(b);
-      if (moves == 0) {
-        b = othello::apply_pass(b);
-      } else {
-        std::vector<int> squares;
-        while (moves != 0) squares.push_back(othello::pop_lsb(moves));
-        rng = splitmix64(rng);
-        b = othello::apply_move(b, squares[rng % squares.size()]);
-      }
-      ASSERT_EQ(b.hash, othello::zobrist_hash(b)) << "seed=" << seed
-                                                  << " step=" << step;
-    }
-  }
+std::uint64_t key_of(const othello::Board& b) {
+  return othello::OthelloGame::Position{b}.tt_key();
 }
 
-TEST(Zobrist, SideToMoveMatters) {
+/// The board after playing `moves` (square names, no passes) from the
+/// initial position.
+othello::Board play(std::initializer_list<const char*> moves) {
+  othello::Board b = othello::initial_board();
+  for (const char* m : moves) {
+    const int sq = othello::square_from_name(m);
+    EXPECT_NE(othello::legal_moves(b) & othello::bit(sq), 0u) << m;
+    b = othello::apply_move(b, sq);
+  }
+  return b;
+}
+
+TEST(OthelloKey, SideToMoveMatters) {
   const othello::Board b = othello::initial_board();
-  EXPECT_NE(othello::zobrist_hash(b), othello::zobrist_hash(othello::apply_pass(b)));
+  EXPECT_NE(key_of(b), key_of(othello::apply_pass(b)));
 }
 
-TEST(Zobrist, DistinctPositionsDistinctHashes) {
-  // All depth-3 positions from the start: no collisions expected.
-  std::vector<othello::Board> frontier{othello::initial_board()}, next;
-  for (int d = 0; d < 3; ++d) {
-    for (const auto& b : frontier) {
-      auto moves = othello::legal_moves(b);
-      while (moves != 0) next.push_back(othello::apply_move(b, othello::pop_lsb(moves)));
+TEST(OthelloKey, TranspositionsShareAKey) {
+  // Two move orders, one board: the tables meet a transposition only if
+  // its key does not depend on the path that reached it.
+  const othello::Board a = play({"d3", "c3", "f5", "f6"});
+  const othello::Board b = play({"f5", "f6", "d3", "c3"});
+  ASSERT_EQ(a, b);
+  EXPECT_EQ(key_of(a), key_of(b));
+  EXPECT_NE(key_of(a), key_of(play({"d3", "c3", "f5"})));
+}
+
+TEST(OthelloKey, DistinctPositionsDistinctKeys) {
+  // Every position within 4 plies of O1, O2 and O3, passes included:
+  // transpositions repeat boards, but distinct boards (side to move
+  // included) must get distinct keys.
+  std::vector<othello::Board> boards;
+  for (int idx = 1; idx <= 3; ++idx) {
+    const othello::OthelloGame g(othello::paper_position(idx));
+    std::vector<othello::OthelloGame::Position> frontier{g.root()}, next;
+    for (int d = 0; d <= 4; ++d) {
+      for (const auto& p : frontier) {
+        boards.push_back(p.board);
+        if (d < 4) g.generate_children(p, next);
+      }
+      frontier.swap(next);
+      next.clear();
     }
-    frontier.swap(next);
-    next.clear();
   }
-  std::vector<std::uint64_t> hashes;
-  for (const auto& b : frontier) hashes.push_back(othello::zobrist_hash(b));
-  std::sort(hashes.begin(), hashes.end());
-  // Transpositions exist (same position via different orders) but the
-  // number of *distinct boards* must match the number of distinct hashes.
-  std::sort(frontier.begin(), frontier.end(), [](const auto& x, const auto& y) {
-    return std::tie(x.black, x.white) < std::tie(y.black, y.white);
+  std::vector<std::uint64_t> keys;
+  for (const auto& b : boards) keys.push_back(key_of(b));
+  std::sort(keys.begin(), keys.end());
+  std::sort(boards.begin(), boards.end(), [](const auto& x, const auto& y) {
+    return std::tie(x.black, x.white, x.to_move) < std::tie(y.black, y.white, y.to_move);
   });
-  const auto boards_unique =
-      std::unique(frontier.begin(), frontier.end()) - frontier.begin();
-  const auto hashes_unique = std::unique(hashes.begin(), hashes.end()) - hashes.begin();
-  EXPECT_EQ(boards_unique, hashes_unique);
+  const auto boards_unique = std::unique(boards.begin(), boards.end()) - boards.begin();
+  const auto keys_unique = std::unique(keys.begin(), keys.end()) - keys.begin();
+  EXPECT_GT(boards_unique, 50'000);  // of 70,454 positions
+  EXPECT_EQ(boards_unique, keys_unique);
 }
 
 TEST(AlphaBetaSharedTable, RootValueMatchesPlainAlphaBetaOnRandomTrees) {
