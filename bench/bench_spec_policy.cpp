@@ -3,8 +3,7 @@
 // naive ordering.  In order to reduce speculative loss and improve
 // efficiency a better mechanism for globally ranking speculative work must
 // be found."  This bench compares the paper's ranking against a
-// bound-driven ranking and a FIFO control, and measures the paper's ranking
-// again with the shared move-ordering tables attached (DESIGN.md §17).
+// bound-driven ranking and a FIFO control (DESIGN.md §17).
 //
 // Per (tree, policy, procs) row:
 //   * nodes / node_ratio — total nodes generated, and the ratio to the
@@ -27,8 +26,6 @@
 
 #include "common.hpp"
 #include "core/parallel_er.hpp"
-#include "search/concurrent_ttable.hpp"
-#include "search/ordering.hpp"
 
 int main(int argc, char** argv) {
   using namespace ers;
@@ -37,19 +34,13 @@ int main(int argc, char** argv) {
   bench::print_header(
       "Speculation ranking policies (§8 future work, DESIGN.md §17)");
 
-  // The last row is the paper's ranking plus the shared ordering
-  // intelligence — history/killer tables AND the shared transposition
-  // table whose stored best-move fingerprints drive TT-move-first child
-  // sorting (the hint path is dead without a table).
   const struct {
     core::SpecRankPolicy policy;
-    bool ordering_tables;
     const char* name;
   } kPolicies[] = {
-      {core::SpecRankPolicy::kFewestEChildren, false, "paper"},
-      {core::SpecRankPolicy::kBestBound, false, "best-bound"},
-      {core::SpecRankPolicy::kFifo, false, "fifo"},
-      {core::SpecRankPolicy::kFewestEChildren, true, "paper+order"},
+      {core::SpecRankPolicy::kFewestEChildren, "paper"},
+      {core::SpecRankPolicy::kBestBound, "best-bound"},
+      {core::SpecRankPolicy::kFifo, "fifo"},
   };
 
   obs::TraceSession session;
@@ -67,14 +58,6 @@ int main(int argc, char** argv) {
       for (const auto& pc : kPolicies) {
         auto cfg = tree.engine;
         cfg.spec_rank = pc.policy;
-        // Fresh tables per run: the single-driver simulator trains them
-        // deterministically, so rows are reproducible bit-for-bit.
-        OrderingTables tables;
-        ConcurrentTranspositionTable shared_tt(18);
-        if (pc.ordering_tables) {
-          cfg.order_tables = &tables;
-          cfg.shared_table = &shared_tt;
-        }
         if (trace != nullptr) trace->clear();  // keep the last point only
         const auto [value, engine_stats, metrics, waste] = std::visit(
             [&](const auto& game) {

@@ -76,7 +76,7 @@
 #include "obs/trace.hpp"
 #include "search/alpha_beta.hpp"
 #include "search/er_serial.hpp"
-#include "search/table_hooks.hpp"
+#include "search/ordering.hpp"
 #include "util/check.hpp"
 #include "util/value.hpp"
 
@@ -302,11 +302,8 @@ class Engine {
   /// vector is cleared but keeps its capacity, so an executor that recycles
   /// ComputeResults across units makes the expansion path allocation-free
   /// at steady state (the commit side *copies* child positions into the
-  /// node's cold record, so the buffer always comes back intact).  The shared
-  /// transposition table is only read/written here, never by
-  /// acquire/commit, so concurrent compute calls share it freely.
+  /// node's cold record, so the buffer always comes back intact).
   void compute_into(const WorkItem& item, ComputeResult& out) const {
-    ConcurrentTranspositionTable* const tt = cfg_.shared_table;
     // Use the pointers captured under the lock: indexing nodes_ or
     // positions_ here would race with commits growing the arenas on other
     // threads.
@@ -324,9 +321,7 @@ class Engine {
     static thread_local typename AlphaBetaSearcher<G>::PlyBuffers plies;
     AlphaBetaSearcher<G> kernel(game_, cfg_.search_depth, cfg_.ordering,
                                 &plies);
-    kernel.with_shared_table(tt).with_ordering_tables(cfg_.order_tables);
     ErSerialSearcher<G> searcher(game_, cfg_.search_depth, cfg_.ordering);
-    searcher.with_shared_table(tt).with_ordering_tables(cfg_.order_tables);
     if (cfg_.unit_kernel == UnitKernel::kAlphaBeta)
       searcher.with_unit_kernel(&kernel);
     switch (item.kind) {
@@ -353,7 +348,7 @@ class Engine {
         const ColdRecord* c = n.cold;
         ERS_CHECK(c != nullptr);
         const SearchResult r = searcher.refute_rest_from(
-            pos, n.ply, item.window, item.tentative,
+            n.ply, item.window, item.tentative,
             std::span<const Position>(c->positions));
         out.value = r.value;
         out.stats = r.stats;
@@ -367,56 +362,20 @@ class Engine {
       }
       case WorkKind::kExpand: {
         if (n.expanded()) break;  // positions already known (promoted e-child)
-        std::uint16_t order_hint = 0;
-        if constexpr (HashedGame<G>) {
-          // An exact entry covering the full remaining depth resolves the
-          // node without expanding its subtree — this is how one worker's
-          // finished subtree short-circuits another's parallel-tree node.
-          if (tt != nullptr) {
-            ++out.stats.tt_probes;
-            TtHit h;
-            if (tt->probe(pos.tt_key(), h)) {
-              // Any validated hit carries the stored best-move
-              // fingerprint, reused below to front the TT move.
-              order_hint = h.move_hint;
-              if (h.depth >= cfg_.search_depth - n.ply &&
-                  h.bound == BoundKind::kExact) {
-                ++out.stats.tt_hits;
-                out.positions_computed = true;
-                out.is_leaf = true;
-                out.value = h.value;
-                break;
-              }
-            }
-          }
-        }
         out.positions_computed = true;
         game_.generate_children(pos, out.child_positions);
         if (out.child_positions.empty()) {
           out.is_leaf = true;
           out.value = game_.evaluate(pos);
           out.stats.leaves_evaluated += 1;
-          if constexpr (HashedGame<G>) {
-            if (tt != nullptr) {
-              tt->store(pos.tt_key(), out.value, cfg_.search_depth - n.ply,
-                        BoundKind::kExact);
-              ++out.stats.tt_stores;
-            }
-          }
           break;
         }
         out.stats.interior_expanded += 1;
         // Paper §7: children of e-nodes are never statically sorted.  Use
         // the role frozen at acquire: the live field may be re-typed by a
-        // concurrent commit while this unit runs (WorkItem::ntype).  With
-        // shared ordering tables attached the sort additionally fronts
-        // the TT move and killers and breaks ties by history credit —
-        // with empty tables this reduces to the identical static
-        // permutation (see sort_children_ordered).
-        TableHooks<G>{tt, cfg_.order_tables}.order(
-            game_, out.child_positions, n.ply + 1,
-            item.ntype != NodeType::kENode && cfg_.ordering.should_sort(n.ply),
-            order_hint, out.stats);
+        // concurrent commit while this unit runs (WorkItem::ntype).
+        if (item.ntype != NodeType::kENode && cfg_.ordering.should_sort(n.ply))
+          sort_children_by_static_value(game_, out.child_positions, out.stats);
         break;
       }
     }

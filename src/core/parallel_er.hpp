@@ -19,7 +19,6 @@
 #include "runtime/thread_executor.hpp"
 #include "search/alpha_beta.hpp"
 #include "search/aspiration.hpp"
-#include "search/concurrent_ttable.hpp"
 #include "sim/executor.hpp"
 #include "util/check.hpp"
 #include "util/value.hpp"
@@ -35,8 +34,8 @@ struct ParallelSearchResult {
   /// Engine counters summed over the runs, plus the aspiration estimate's
   /// serial search in engine.search, so node counts are the call's total.
   core::EngineStats engine;
-  /// The executor's run reports folded into one (scheduler counters, units
-  /// and TT traffic summed; mem the larger run's snapshot) — what
+  /// The executor's run reports folded into one (scheduler counters and
+  /// units summed; mem the larger run's snapshot) — what
   /// obs::register_thread_report flattens into a metrics snapshot, and what
   /// a traced run's per-worker spans must sum to.  elapsed_ns is the wall
   /// time of the whole call, estimate included.
@@ -101,7 +100,6 @@ template <Game G>
   const auto start = Clock::now();
   core::EngineConfig c = cfg;
   c.trace = trace;
-  if (c.shared_table != nullptr) c.shared_table->new_search();
   ParallelSearchResult<typename G::Position> out;
   auto search = [&](Window root) {
     core::Engine<G> engine(game, c, root);
@@ -141,7 +139,6 @@ template <Game G>
     sim::CostModel cost = {}, obs::TraceSession* trace = nullptr) {
   core::EngineConfig c = cfg;
   c.trace = trace;
-  if (c.shared_table != nullptr) c.shared_table->new_search();
   core::Engine<G> engine(game, c);
   sim::SimExecutor<core::Engine<G>> exec(processors, cost);
   exec.with_trace(trace);

@@ -8,9 +8,6 @@
 #include "search/ordering.hpp"
 #include "util/value.hpp"
 
-namespace ers {
-class ConcurrentTranspositionTable;  // search/concurrent_ttable.hpp
-}
 namespace ers::obs {
 class TraceSession;  // obs/trace.hpp
 }
@@ -94,17 +91,6 @@ struct EngineConfig {
   OrderingPolicy ordering;
   SpeculationConfig speculation;
   SpecRankPolicy spec_rank = SpecRankPolicy::kFewestEChildren;
-  /// Shared move-ordering tables (search/ordering.hpp): history counters
-  /// and killer slots consulted by expansion-time child sorts and the
-  /// serial units.  Not owned; null keeps the paper's pure
-  /// static-value sort.  Ignored unless the game is a HashedGame.
-  OrderingTables* order_tables = nullptr;
-  /// Lock-free transposition table shared by every worker's compute phase:
-  /// kExpand units probe it for an exact full-depth entry (and the TT
-  /// move), and serial units probe and store it at every node of their
-  /// search, with either unit kernel.  Not owned; must outlive the engine.
-  /// Ignored unless the game is a HashedGame.
-  ConcurrentTranspositionTable* shared_table = nullptr;
   /// The search below the root of every serial unit.  Alpha-beta by
   /// default; harness/tree_registry.cpp pins kSerialEr for the Table 3
   /// trees, the only reason that kernel stays.

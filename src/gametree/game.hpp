@@ -55,10 +55,9 @@ struct SearchStats {
   std::uint64_t leaves_evaluated = 0;   ///< static evaluations at the search horizon
   std::uint64_t child_sorts = 0;        ///< child-list sorts performed (move ordering)
   std::uint64_t sort_evals = 0;         ///< static evaluations done *only* for ordering
-  // Transposition-table traffic.  Kept here (per search / per work unit, so
-  // thread-local by construction) rather than on the shared table: workers
-  // merge them on commit, keeping the concurrent table free of shared
-  // counters on the hot path.
+  // Transposition-table traffic.  Kept here (per search, so thread-local by
+  // construction) rather than on the shared table: callers sum them,
+  // keeping the concurrent table free of shared counters on the hot path.
   std::uint64_t tt_probes = 0;  ///< table lookups issued
   std::uint64_t tt_hits = 0;    ///< lookups that validated with sufficient depth
   std::uint64_t tt_stores = 0;  ///< entries written
@@ -68,12 +67,6 @@ struct SearchStats {
   // retires deferrals without revisits, so deferred >= revisited).
   std::uint64_t moves_deferred = 0;   ///< phase-one exclusivity skips
   std::uint64_t moves_revisited = 0;  ///< phase-two deferred-move searches
-  // Shared ordering tables (search/ordering.hpp): sorts where the stored
-  // TT move was fronted, and per-child killer/history matches that
-  // perturbed the static order.
-  std::uint64_t order_tt_first = 0;      ///< sorts fronting a TT move
-  std::uint64_t order_killer_hits = 0;   ///< children matched in killer slots
-  std::uint64_t order_history_hits = 0;  ///< children with history credit
 
   [[nodiscard]] std::uint64_t nodes_generated() const noexcept {
     return interior_expanded + leaves_evaluated;
@@ -100,9 +93,6 @@ struct SearchStats {
     tt_stores += o.tt_stores;
     moves_deferred += o.moves_deferred;
     moves_revisited += o.moves_revisited;
-    order_tt_first += o.order_tt_first;
-    order_killer_hits += o.order_killer_hits;
-    order_history_hits += o.order_history_hits;
     return *this;
   }
 };

@@ -8,7 +8,6 @@
 //   run.*     ThreadRunReport       (thread runtime totals)
 //   sim.*     SimMetrics            (simulated executor)
 //   engine.*  EngineStats           (scheduling state machine)
-//   tt.*      transposition-table traffic (either runtime)
 
 #include <string>
 
@@ -79,9 +78,6 @@ inline void register_thread_report(MetricsRegistry& reg,
   reg.set(prefix + "elapsed_ns", r.elapsed_ns);
   reg.set(prefix + "lock_wait_share", r.lock_wait_share());
   reg.set(prefix + "lock_hold_share", r.lock_hold_share());
-  reg.set("tt.probes", r.tt_probes);
-  reg.set("tt.hits", r.tt_hits);
-  reg.set("tt.hit_rate", r.tt_hit_rate());
   register_scheduler_stats(reg, r.sched);
   register_engine_mem_stats(reg, r.mem);
   register_engine_waste_stats(reg, r.waste);
@@ -114,9 +110,6 @@ inline void register_engine_stats(MetricsRegistry& reg,
   reg.set(prefix + "refutations_dispatched", e.refutations_dispatched);
   reg.set(prefix + "cutoffs_at_pop", e.cutoffs_at_pop);
   reg.set(prefix + "dead_items_dropped", e.dead_items_dropped);
-  reg.set("tt.probes", e.search.tt_probes);
-  reg.set("tt.hits", e.search.tt_hits);
-  reg.set("tt.stores", e.search.tt_stores);
 }
 
 /// Flatten one search's SearchStats — used by the ABDADA runner
@@ -136,10 +129,6 @@ inline void register_search_stats(MetricsRegistry& reg, const SearchStats& s,
   reg.set(prefix + "tt_stores", s.tt_stores);
   reg.set(prefix + "moves_deferred", s.moves_deferred);
   reg.set(prefix + "moves_revisited", s.moves_revisited);
-  // Shared ordering tables (search/ordering.hpp).
-  reg.set(prefix + "order.tt_first", s.order_tt_first);
-  reg.set(prefix + "order.killer_hits", s.order_killer_hits);
-  reg.set(prefix + "order.history_hits", s.order_history_hits);
 }
 
 }  // namespace ers::obs

@@ -59,8 +59,6 @@ enum class EventKind : std::uint8_t {
   kSleepSpan,     ///< parked on the cv (thread) / starving (sim)
   // --- scheduling instants -----------------------------------------------
   kWakeup,        ///< arg = notify_one calls issued
-  kTtProbe,       ///< arg = table probes performed by one unit's compute
-  kTtHit,         ///< arg = validated table hits in one unit's compute
   // --- engine instants (written under the engine lock) -------------------
   kSpecSpawn,   ///< speculative/mandatory promotion; node = child, arg = parent
   kSpecCancel,  ///< queued work cancelled; arg: 0 = dead queue-entry drop,
@@ -85,8 +83,6 @@ inline constexpr std::size_t kEventKindCount =
     case EventKind::kLockHoldSpan: return "lock_hold";
     case EventKind::kSleepSpan: return "sleep";
     case EventKind::kWakeup: return "wakeup";
-    case EventKind::kTtProbe: return "tt_probe";
-    case EventKind::kTtHit: return "tt_hit";
     case EventKind::kSpecSpawn: return "spec_spawn";
     case EventKind::kSpecCancel: return "spec_cancel";
     case EventKind::kUnitCommit: return "unit_commit";

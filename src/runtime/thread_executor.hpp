@@ -81,8 +81,6 @@ struct alignas(64) SchedulerStats {
 struct ThreadRunReport {
   std::uint64_t units = 0;
   int threads = 0;
-  std::uint64_t tt_probes = 0;  ///< table probes across all workers
-  std::uint64_t tt_hits = 0;    ///< validated, depth-covering hits
   std::uint64_t elapsed_ns = 0;  ///< wall time of the run() call
   SchedulerStats sched;          ///< aggregated across workers + engine locks
   /// Node-storage occupancy at the end of the run: node count and the
@@ -100,18 +98,11 @@ struct ThreadRunReport {
   void merge(const ThreadRunReport& o) {
     units += o.units;
     threads = o.threads;
-    tt_probes += o.tt_probes;
-    tt_hits += o.tt_hits;
     sched.merge(o.sched);
     if (o.mem.peak_bytes > mem.peak_bytes) mem = o.mem;
     waste += o.waste;
   }
 
-  [[nodiscard]] double tt_hit_rate() const noexcept {
-    return tt_probes == 0
-               ? 0.0
-               : static_cast<double>(tt_hits) / static_cast<double>(tt_probes);
-  }
   /// Fraction of total worker-time spent blocked on the heap lock.
   [[nodiscard]] double lock_wait_share() const noexcept {
     const double total = static_cast<double>(elapsed_ns) *
@@ -272,7 +263,6 @@ class ThreadExecutor {
           result.compute_ns = cns;
           tr->span(obs::EventKind::kComputeSpan, trace_->to_ns(c0),
                    trace_->to_ns(c1), item->node);
-          trace_tt(*tr, trace_->to_ns(c1), item->node, result);
           engine.commit(*item, result);
         }
         ++st.units;
@@ -305,9 +295,6 @@ class ThreadExecutor {
     report.sched.lock_acquisitions += ls.acquisitions;
     report.sched.lock_wait_ns += ls.wait_ns;
     report.sched.lock_hold_ns += ls.hold_ns;
-    const core::EngineStats es = engine.stats();
-    report.tt_probes = es.search.tt_probes;
-    report.tt_hits = es.search.tt_hits;
     report.mem = engine.mem_stats();
     report.waste = engine.waste_stats();
     return report;
@@ -326,19 +313,6 @@ class ThreadExecutor {
       std::chrono::steady_clock::time_point b) noexcept {
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count());
-  }
-
-  /// Per-unit transposition-table traffic as trace instants, from the
-  /// compute result's own counters (compute runs outside every lock, so the
-  /// worker's ring — not the engine's — must carry these).
-  static void trace_tt(obs::Tracer& tr, std::uint64_t ts, std::uint32_t node,
-                       const ResultT& r) {
-    if (r.stats.tt_probes > 0)
-      tr.instant(obs::EventKind::kTtProbe, ts, node,
-                 static_cast<std::uint32_t>(r.stats.tt_probes));
-    if (r.stats.tt_hits > 0)
-      tr.instant(obs::EventKind::kTtHit, ts, node,
-                 static_cast<std::uint32_t>(r.stats.tt_hits));
   }
 
   int threads_;

@@ -172,7 +172,6 @@ class AbdadaSearcher {
     if constexpr (HashedGame<G>) {
       if (tt_ != nullptr || nproc_ != nullptr) key = p.tt_key();
       if (tt_ != nullptr) {
-        tt_->prefetch(key);
         ++stats_.tt_probes;
         TtHit h;
         // Depth-exact gating — see the header comment on determinism.
@@ -281,7 +280,7 @@ class AbdadaSearcher {
 
   /// Warm the TT lines of every freshly generated child before the child
   /// loop touches them — by the time phase one probes a sibling, its slot
-  /// is in cache (er_serial.hpp does the same at expansion).  Not called
+  /// is in cache, so visit() prefetches nothing itself.  Not called
   /// when the children are horizon leaves, which never probe.
   void prefetch_children(
       [[maybe_unused]] const std::vector<typename G::Position>& kids) const {

@@ -6,8 +6,8 @@
 // AlphaBetaSearcher is also the parallel engine's default unit kernel: the
 // search below the root of every serial unit (DESIGN.md §18).  For that it
 // allocates nothing per node — each ply's children go into a buffer reused
-// across nodes and searches — and it takes the same optional shared-table
-// hooks as serial ER (search/table_hooks.hpp).
+// across nodes and searches.  Outside the engine it can probe and train
+// the optional shared tables (search/table_hooks.hpp).
 
 #include <algorithm>
 #include <cstddef>

@@ -1,10 +1,7 @@
 #pragma once
-// Lock-free shared transposition table for the parallel search runtimes.
-//
-// The paper's ER workers share one problem heap but no *search knowledge*:
-// two workers reaching the same position through different move orders each
-// search it from scratch.  Real parallel game engines close that gap with a
-// concurrent shared table; this one is designed so the hot path (probe/store
+// Lock-free shared transposition table: the medium ABDADA's workers
+// coordinate through (search/abdada.hpp), and alpha-beta's optional table
+// (search/table_hooks.hpp).  It is designed so the hot path (probe/store
 // from every worker on every node) takes no lock and touches exactly one
 // cache line per operation.
 //
@@ -35,7 +32,7 @@
 //
 //   * The table keeps NO shared counters: probe/hit/store statistics are
 //     accumulated in each searcher's thread-local SearchStats (tt_probes /
-//     tt_hits / tt_stores) and merged under the engine's commit lock.
+//     tt_hits / tt_stores) and summed by the searcher's caller.
 
 #include <atomic>
 #include <cstdint>

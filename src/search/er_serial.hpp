@@ -29,15 +29,6 @@
 // search-derived tentative values, which is why serial ER can beat
 // alpha-beta in wall time even while visiting more nodes (the O1 anomaly).
 //
-// Shared transposition table (HashedGame only): with_shared_table() attaches
-// a lock-free ConcurrentTranspositionTable that the search probes and stores
-// as it goes — ER full evaluations (er) probe on entry and store their
-// classified fail-hard result on exit; Eval_first accepts only *conclusive*
-// hits (exact, or a bound that already resolves the window) since its normal
-// result is tentative and must not be stored; Refute_rest stores its final
-// value (it completes the node).  The probes, stores and ordering-table
-// updates go through search/table_hooks.hpp, shared with alpha-beta.
-//
 // Unit entry points (eval_first_from, refute_rest_from, refute_from,
 // run_from) are the serial work units the parallel engine hands a worker at
 // its serial-depth cutover.  Below a unit's root they search with serial ER
@@ -46,7 +37,6 @@
 // part.
 
 #include <algorithm>
-#include <cstdint>
 #include <optional>
 #include <span>
 #include <utility>
@@ -54,9 +44,7 @@
 
 #include "gametree/game.hpp"
 #include "search/alpha_beta.hpp"
-#include "search/concurrent_ttable.hpp"
 #include "search/ordering.hpp"
-#include "search/table_hooks.hpp"
 #include "util/check.hpp"
 #include "util/value.hpp"
 
@@ -71,29 +59,11 @@ class ErSerialSearcher {
       : game_(game), depth_(depth), ordering_(ordering) {}
   ErSerialSearcher(const G&&, int, OrderingPolicy = {}) = delete;
 
-  /// Probe/store `table` during the search (shared-memory runtime: one table
-  /// serves every worker's serial units).  Ignored unless G is a HashedGame.
-  /// Pass nullptr to detach.
-  ErSerialSearcher& with_shared_table(ConcurrentTranspositionTable* table) noexcept {
-    hooks_.tt = table;
-    return *this;
-  }
-
-  /// Consult (and train) shared history/killer tables during expansion-time
-  /// child sorts — the TT move sorts first when a probe carries a hint,
-  /// killers of the child ply next, history credit breaks ties (DESIGN.md
-  /// §17).  Ignored unless G is a HashedGame.  Pass nullptr to detach.
-  ErSerialSearcher& with_ordering_tables(OrderingTables* tables) noexcept {
-    hooks_.tables = tables;
-    return *this;
-  }
-
   /// Search below the root of every entry point with `kernel` instead of
   /// serial ER: run_from and refute_from become one kernel search of the
   /// node, while eval_first_from and refute_rest_from keep Figure 8's
-  /// protocol at the node and search its children with the kernel.  The
-  /// kernel should carry the same tables as this searcher.  Not owned;
-  /// pass nullptr to restore serial ER.
+  /// protocol at the node and search its children with the kernel.  Not
+  /// owned; pass nullptr to restore serial ER.
   ErSerialSearcher& with_unit_kernel(AlphaBetaSearcher<G>* kernel) noexcept {
     kernel_ = kernel;
     return *this;
@@ -125,7 +95,7 @@ class ErSerialSearcher {
   /// Result of an Eval_first-only unit (parallel engine, cutover nodes).
   struct PartialResult {
     Value value = 0;
-    bool done = false;  ///< cutoff, single child, leaf or table hit: resolved
+    bool done = false;  ///< cutoff, single child or leaf: resolved
     SearchStats stats;
   };
 
@@ -141,68 +111,42 @@ class ErSerialSearcher {
     children.clear();
     PartialResult out;
     out.done = true;
-    const int remaining = depth_ - ply;
-    TtHit h;
-    if (hooks_.probe(pos, remaining, h, stats_) &&
-        TableHooks<G>::conclusive(h, w.alpha, w.beta)) {
-      out.value = h.value;
+    if (ply < depth_) game_.generate_children(pos, children);
+    if (children.empty()) {
+      ++stats_.leaves_evaluated;
+      out.value = game_.evaluate(pos);
     } else {
-      if (ply < depth_) game_.generate_children(pos, children);
-      if (children.empty()) {
-        ++stats_.leaves_evaluated;
-        out.value = game_.evaluate(pos);
-        hooks_.store(pos, out.value, remaining, -kValueInf, kValueInf, stats_);
-      } else {
-        ++stats_.interior_expanded;
-        hooks_.order(game_, children, ply + 1, ordering_.should_sort(ply),
-                     h.move_hint, stats_);
-        const Value t = negate(search(children.front(), negate(w.beta),
-                                      negate(w.alpha), ply + 1,
-                                      /*e_node=*/true));
-        out.value = std::max(w.alpha, t);
-        out.done = out.value >= w.beta || children.size() == 1;
-        if (out.value >= w.beta)
-          hooks_.note_cutoff(children.front(), ply + 1, remaining);
-      }
+      ++stats_.interior_expanded;
+      if (ordering_.should_sort(ply))
+        sort_children_by_static_value(game_, children, stats_);
+      const Value t = negate(search(children.front(), negate(w.beta),
+                                    negate(w.alpha), ply + 1,
+                                    /*e_node=*/true));
+      out.value = std::max(w.alpha, t);
+      out.done = out.value >= w.beta || children.size() == 1;
     }
     out.stats = stats_;
     return out;
   }
 
-  /// Figure 8's Refute_rest applied at (pos, ply): finish a node whose
+  /// Figure 8's Refute_rest applied at a node at `ply`: finish it after its
   /// first child already contributed `tentative`; `children` must be the
   /// exact order eval_first_from produced (the expansion is not recounted).
   /// Takes a span so the parallel engine can pass the child order frozen
   /// in its cold record without copying it.
   [[nodiscard]] SearchResult refute_rest_from(
-      const Position& pos, int ply, Window w, Value tentative,
-      std::span<const Position> children) {
+      int ply, Window w, Value tentative, std::span<const Position> children) {
     stats_ = {};
     ERS_CHECK(!children.empty());
-    const int remaining = depth_ - ply;
-    TtHit h;
-    // A concurrent worker may have finished the node since Eval_first.
-    if (hooks_.probe(pos, remaining, h, stats_) &&
-        TableHooks<G>::conclusive(h, w.alpha, w.beta))
-      return SearchResult{h.value, stats_};
-    // Keep the tentative value (see header comment); it came from the first
-    // child, the hint candidate until a later child raises it.
-    std::uint64_t best_key =
-        tentative > w.alpha ? hooks_.hint_key(children.front()) : 0;
+    // Keep the tentative value (see header comment).  The window may have
+    // tightened since Eval_first ran; the tentative value alone can
+    // already refute the node.
     Value v = std::max(tentative, w.alpha);
-    // The window may have tightened since Eval_first ran; the tentative
-    // value alone can already refute the node.
-    if (v >= w.beta) hooks_.note_cutoff(children.front(), ply + 1, remaining);
     for (std::size_t i = 1; i < children.size() && v < w.beta; ++i) {
       const Value t = negate(search(children[i], negate(w.beta), negate(v),
                                     ply + 1, /*e_node=*/false));
-      if (t > v) {
-        v = t;
-        best_key = hooks_.hint_key(children[i]);
-      }
-      if (v >= w.beta) hooks_.note_cutoff(children[i], ply + 1, remaining);
+      if (t > v) v = t;
     }
-    hooks_.store(pos, v, remaining, w.alpha, w.beta, stats_, best_key);
     return SearchResult{v, stats_};
   }
 
@@ -245,10 +189,9 @@ class ErSerialSearcher {
     return r.done ? v : refute_rest(r, alpha, beta, ply);
   }
 
-  /// Generate (once) and possibly statically order the children of `r`;
-  /// `hint` is the TT move from the probe that preceded the expansion.
+  /// Generate (once) and possibly statically order the children of `r`.
   /// Returns true if `r` is a leaf at this ply.
-  bool expand(Rec& r, int ply, bool is_e_node, std::uint16_t hint) {
+  bool expand(Rec& r, int ply, bool is_e_node) {
     if (r.expanded) return r.kids.empty();
     r.expanded = true;
     // Reused scratch: every element is moved out into r.kids below before
@@ -264,36 +207,17 @@ class ErSerialSearcher {
       return true;
     }
     ++stats_.interior_expanded;
-    hooks_.order(game_, kids, ply + 1,
-                 !is_e_node && ordering_.should_sort(ply), hint, stats_);
+    if (!is_e_node && ordering_.should_sort(ply))
+      sort_children_by_static_value(game_, kids, stats_);
     r.kids.reserve(kids.size());
     for (auto& k : kids) r.kids.emplace_back(std::move(k));
     return false;
   }
 
-  /// Figure 8, function ER — a *full* fail-hard evaluation of p within
-  /// (alpha, beta) — wrapped with shared-table probe and store.
+  /// Figure 8, function ER: a *full* fail-hard evaluation of p within
+  /// (alpha, beta).
   Value er(Rec& p, Value alpha, Value beta, int ply) {
-    const int remaining = depth_ - ply;
-    TtHit h;
-    if (hooks_.probe(p.pos, remaining, h, stats_) &&
-        TableHooks<G>::resolves(h, alpha, beta))
-      return h.value;
-    if (expand(p, ply, /*is_e_node=*/true, h.move_hint)) {
-      const Value v = game_.evaluate(p.pos);
-      hooks_.store(p.pos, v, remaining, -kValueInf, kValueInf, stats_);  // exact
-      return v;
-    }
-    const Value v = er_children(p, alpha, beta, ply);
-    hooks_.store(p.pos, v, remaining, alpha, beta, stats_, best_child_key_);
-    return v;
-  }
-
-  /// ER's two phases over an expanded interior node.  Sets best_child_key_
-  /// (read by the caller immediately on return — recursion below reuses it)
-  /// to the child that produced the final value, for the TT move hint.
-  Value er_children(Rec& p, Value alpha, Value beta, int ply) {
-    std::uint64_t best_key = 0;
+    if (expand(p, ply, /*is_e_node=*/true)) return game_.evaluate(p.pos);
     p.value = alpha;
     // Phase 1: evaluate every child's first child (the elder grandchildren).
     for (Rec& c : p.kids) {
@@ -301,14 +225,9 @@ class ErSerialSearcher {
       if (c.done) {
         if (t > p.value) {
           p.value = t;
-          best_key = hooks_.hint_key(c.pos);
           if (ply == root_ply_) best_root_ = c.pos;
         }
-        if (p.value >= beta) {
-          hooks_.note_cutoff(c.pos, ply + 1, depth_ - ply);
-          best_child_key_ = best_key;
-          return p.value;
-        }
+        if (p.value >= beta) return p.value;
       }
     }
     // Phase 2: sort by tentative value (ascending: lowest child value is the
@@ -320,109 +239,53 @@ class ErSerialSearcher {
       const Value t = negate(refute_rest(c, negate(beta), negate(p.value), ply + 1));
       if (t > p.value) {
         p.value = t;
-        best_key = hooks_.hint_key(c.pos);
         if (ply == root_ply_) best_root_ = c.pos;
       }
-      if (p.value >= beta) {
-        hooks_.note_cutoff(c.pos, ply + 1, depth_ - ply);
-        break;
-      }
+      if (p.value >= beta) break;
     }
-    best_child_key_ = best_key;
     return p.value;
   }
 
   /// Figure 8, function Eval_first: give `p` a tentative value by fully
-  /// evaluating (with ER) its first child.  A table hit resolves the node
-  /// only when *conclusive* — exact, or a bound that already decides the
-  /// window — because Eval_first's normal product is a tentative value and
-  /// an inconclusive bound cannot substitute for one.
+  /// evaluating (with ER) its first child.
   Value eval_first(Rec& p, Value alpha, Value beta, int ply) {
-    TtHit h;
-    if (hooks_.probe(p.pos, depth_ - ply, h, stats_) &&
-        TableHooks<G>::conclusive(h, alpha, beta)) {
-      p.value = h.value;
-      p.done = true;
-      return p.value;
-    }
-    if (expand(p, ply, /*is_e_node=*/false, h.move_hint)) {
+    if (expand(p, ply, /*is_e_node=*/false)) {
       p.done = true;
       p.value = game_.evaluate(p.pos);
-      hooks_.store(p.pos, p.value, depth_ - ply, -kValueInf, kValueInf, stats_);
       return p.value;
     }
     p.value = alpha;
     const Value t = negate(er(p.kids.front(), negate(beta), negate(p.value), ply + 1));
     if (t > p.value) p.value = t;
     p.done = p.value >= beta || p.kids.size() == 1;
-    if (p.value >= beta) hooks_.note_cutoff(p.kids.front().pos, ply + 1, depth_ - ply);
     return p.value;
-  }
-
-  /// Figure 8, function Refute_rest, wrapped with a shared-table store:
-  /// Refute_rest *completes* a node, so its fail-hard result is a storable
-  /// bound against the window it finished under.  (No probe here beyond the
-  /// conclusive check: the node was already probed by er/eval_first, but a
-  /// concurrent worker may have finished it in the meantime.)
-  Value refute_rest(Rec& p, Value alpha, Value beta, int ply) {
-    const int remaining = depth_ - ply;
-    TtHit h;
-    if (hooks_.probe(p.pos, remaining, h, stats_) &&
-        TableHooks<G>::conclusive(h, alpha, beta))
-      return h.value;
-    const Value v = refute_rest_children(p, alpha, beta, ply);
-    hooks_.store(p.pos, v, remaining, alpha, beta, stats_, best_child_key_);
-    return v;
   }
 
   /// Figure 8, function Refute_rest: examine p's remaining children until p
   /// is refuted (value >= beta) or exhausted.
-  Value refute_rest_children(Rec& p, Value alpha, Value beta, int ply) {
+  Value refute_rest(Rec& p, Value alpha, Value beta, int ply) {
     ERS_DCHECK(p.expanded && !p.kids.empty());
-    // The tentative value (if it survives max against alpha) came from the
-    // first child, making it the hint candidate until a later child raises.
-    std::uint64_t best_key =
-        p.value > alpha ? hooks_.hint_key(p.kids.front().pos) : 0;
-    // Keep the tentative value from Eval_first (see header comment).
+    // Keep the tentative value from Eval_first (see header comment).  The
+    // parent's bound may have tightened since Eval_first ran; the tentative
+    // value alone can already refute p.
     p.value = std::max(p.value, alpha);
-    // The parent's bound may have tightened since Eval_first ran; the
-    // tentative value alone can already refute p.
-    if (p.value >= beta) {
-      hooks_.note_cutoff(p.kids.front().pos, ply + 1, depth_ - ply);
-      best_child_key_ = best_key;
-      return p.value;
-    }
-    for (std::size_t i = 1; i < p.kids.size(); ++i) {
+    for (std::size_t i = 1; i < p.kids.size() && p.value < beta; ++i) {
       Rec& c = p.kids[i];
       Value t = negate(eval_first(c, negate(beta), negate(p.value), ply + 1));
       if (!c.done)
         t = negate(refute_rest(c, negate(beta), negate(p.value), ply + 1));
-      if (t > p.value) {
-        p.value = t;
-        best_key = hooks_.hint_key(c.pos);
-      }
-      if (p.value >= beta) {
-        hooks_.note_cutoff(c.pos, ply + 1, depth_ - ply);
-        break;
-      }
+      if (t > p.value) p.value = t;
     }
-    best_child_key_ = best_key;
     return p.value;
   }
 
   const G& game_;
   int depth_;
   OrderingPolicy ordering_;
-  TableHooks<G> hooks_;
   AlphaBetaSearcher<G>* kernel_ = nullptr;
   SearchStats stats_;
   std::optional<Position> best_root_;
   int root_ply_ = 0;
-  /// Key of the child that produced the last er_children /
-  /// refute_rest_children result — valid only immediately after those
-  /// calls return (deeper recursion overwrites it), which is exactly when
-  /// er/refute_rest read it for the TT move hint.
-  std::uint64_t best_child_key_ = 0;
 };
 
 template <Game G>

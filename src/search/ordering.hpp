@@ -245,19 +245,14 @@ void sort_children_ordered(const G& game,
     auto& keyed = scratch.keyed;
     keyed.clear();
     keyed.reserve(children.size());
-    bool fronted = false;
     for (std::size_t i = 0; i < children.size(); ++i) {
       const std::uint64_t key = children[i].tt_key();
       std::int64_t tier = 2;
-      if (tt_hint != 0 && move_fingerprint(key) == tt_hint) {
+      if (tt_hint != 0 && move_fingerprint(key) == tt_hint)
         tier = 0;
-        fronted = true;
-      } else if (tables.killers.is_killer(ply, key)) {
+      else if (tables.killers.is_killer(ply, key))
         tier = 1;
-        stats.order_killer_hits += 1;
-      }
       const std::uint32_t hist = tables.history.probe(key);
-      if (hist != 0) stats.order_history_hits += 1;
       const std::int64_t value = std::clamp<std::int64_t>(
           game.evaluate(children[i]), -(std::int64_t{1} << 30),
           std::int64_t{1} << 30);
@@ -266,7 +261,6 @@ void sort_children_ordered(const G& game,
               std::min<std::int64_t>(hist, (std::int64_t{1} << 20) - 1),
           i);
     }
-    if (fronted) stats.order_tt_first += 1;
     std::sort(keyed.begin(), keyed.end());  // stable by key, as above
     auto& sorted = scratch.sorted;
     sorted.clear();

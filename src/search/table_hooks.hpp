@@ -1,12 +1,9 @@
 #pragma once
-// The optional shared tables a serial searcher consults and trains: the
+// The optional shared tables serial alpha-beta consults and trains: the
 // lock-free transposition table (DESIGN.md §8), probed and stored at every
 // node, and the history/killer tables that refine child sorts (§17).
-//
-// Serial ER and alpha-beta each hold one TableHooks, so both probe and
-// store at the same points with the same depth gating and the same
-// fail-hard bound classification (DESIGN.md §18).  Every member is a no-op
-// without a table attached, and for games that are not HashedGame.
+// Every member is a no-op without a table attached, and for games that are
+// not HashedGame.
 
 #include <cstdint>
 #include <vector>
@@ -71,17 +68,6 @@ struct TableHooks {
         return false;
     }
     return false;
-  }
-
-  /// True when a covering hit decides the window (alpha, beta) outright:
-  /// exact, or a bound already past it.  Searches whose normal product is
-  /// not a full evaluation (Eval_first's tentative value) or that must not
-  /// narrow (Refute_rest) accept only such hits.
-  [[nodiscard]] static bool conclusive(const TtHit& h, Value alpha,
-                                       Value beta) noexcept {
-    return h.bound == BoundKind::kExact ||
-           (h.bound == BoundKind::kLower && h.value >= beta) ||
-           (h.bound == BoundKind::kUpper && h.value <= alpha);
   }
 
   /// Store a completed fail-hard result for `p`, classified against the

@@ -26,18 +26,11 @@ struct CostModel {
   /// acquire and one commit, the paper's setup.
   std::uint64_t per_heap_acquire = 1;
   std::uint64_t per_heap_commit = 1;
-  /// Transposition-table traffic.  Probes and stores are lock-free (one
-  /// cache line each), so unlike queue ops they are charged to the issuing
-  /// processor only — cheap, but not free, which keeps a table-heavy search
-  /// from simulating faster than the work it actually did.
-  std::uint64_t per_tt_probe = 1;
-  std::uint64_t per_tt_store = 1;
 
   /// Cost of the computation a unit performed, from its work counters.
   [[nodiscard]] std::uint64_t of(const SearchStats& s) const noexcept {
     return per_unit_base + per_interior * s.interior_expanded +
-           per_leaf * s.leaves_evaluated + per_sort_eval * s.sort_evals +
-           per_tt_probe * s.tt_probes + per_tt_store * s.tt_stores;
+           per_leaf * s.leaves_evaluated + per_sort_eval * s.sort_evals;
   }
 
   /// Cost of an entire serial search with the same accounting — the

@@ -151,7 +151,6 @@ class SimExecutor {
           if (start > now) tr.span(obs::EventKind::kLockWaitSpan, now, start);
           tr.span(obs::EventKind::kLockHoldSpan, start, t);
           tr.span(obs::EventKind::kComputeSpan, t, t + c, node_of(*item));
-          trace_tt(tr, t + c, node_of(*item), result);
         }
         inflight.push(Completion{t + c, seq++, start, w.id, std::move(*item),
                                  std::move(result)});
@@ -218,25 +217,6 @@ class SimExecutor {
       return static_cast<std::uint32_t>(item.node);
     else
       return obs::kNoTraceNode;
-  }
-
-  /// Per-unit transposition-table traffic as trace instants, mirroring the
-  /// thread runtime's schema (same kinds, same arg meaning).
-  template <typename Result>
-  static void trace_tt(obs::Tracer& tr, std::uint64_t ts, std::uint32_t node,
-                       const Result& r) {
-    if constexpr (requires { r.stats.tt_probes; }) {
-      if (r.stats.tt_probes > 0)
-        tr.instant(obs::EventKind::kTtProbe, ts, node,
-                   static_cast<std::uint32_t>(r.stats.tt_probes));
-      if (r.stats.tt_hits > 0)
-        tr.instant(obs::EventKind::kTtHit, ts, node,
-                   static_cast<std::uint32_t>(r.stats.tt_hits));
-    } else {
-      (void)tr;
-      (void)ts;
-      (void)node;
-    }
   }
 
   int processors_;

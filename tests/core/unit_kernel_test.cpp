@@ -1,8 +1,8 @@
 // The unit kernel (DESIGN.md §18): under the default alpha-beta kernel,
 // parallel ER — on real threads and on the simulator — must return serial
 // alpha-beta's root value and a best move that achieves it, at every serial
-// depth and with or without the shared tables.  A seeded differential test
-// then draws random games and configs and checks each against alpha-beta.
+// depth.  A seeded differential test then draws random games and configs
+// and checks each against alpha-beta.
 // Own binary so the thread-runtime sweeps ride the tsan lane.
 
 #include <gtest/gtest.h>
@@ -18,23 +18,11 @@
 #include "othello/positions.hpp"
 #include "randomtree/random_tree.hpp"
 #include "search/alpha_beta.hpp"
-#include "search/concurrent_ttable.hpp"
 #include "search/ordering.hpp"
 #include "util/rng.hpp"
 
 namespace ers {
 namespace {
-
-enum class Tables { kNone, kTt, kTtAndOrdering };
-
-const char* tables_name(Tables t) {
-  switch (t) {
-    case Tables::kNone: return "none";
-    case Tables::kTt: return "tt";
-    case Tables::kTtAndOrdering: return "tt+ordering";
-  }
-  return "?";
-}
 
 /// Fails unless `move`, when present, is a root child whose alpha-beta
 /// value (searched from ply 1) negates to `root_value`.
@@ -53,35 +41,28 @@ void check_best_move(const G& g, const core::EngineConfig& cfg,
       << where << ": best move does not achieve the root value";
 }
 
-/// Every serial depth × table setting × {threads {1,2,4}, simulator}: root
-/// value equals serial alpha-beta's.
+/// Every serial depth × {threads {1,2,4}, simulator}: root value equals
+/// serial alpha-beta's.
 template <Game G>
 void sweep(const G& g, int depth, OrderingPolicy ordering,
            const std::string& name) {
   const Value oracle = alpha_beta_search(g, depth, ordering).value;
   for (int serial = 0; serial <= depth; ++serial) {
-    for (Tables tables : {Tables::kNone, Tables::kTt, Tables::kTtAndOrdering}) {
-      ConcurrentTranspositionTable tt(12);
-      OrderingTables order;
-      core::EngineConfig cfg;
-      cfg.search_depth = depth;
-      cfg.serial_depth = serial;
-      cfg.ordering = ordering;
-      if (tables != Tables::kNone) cfg.shared_table = &tt;
-      if (tables == Tables::kTtAndOrdering) cfg.order_tables = &order;
-      ASSERT_EQ(cfg.unit_kernel, core::UnitKernel::kAlphaBeta);
-      const std::string at = name + " serial=" + std::to_string(serial) +
-                             " tables=" + tables_name(tables);
-      for (int threads : {1, 2, 4}) {
-        const auto r = parallel_er_threads(g, cfg, threads);
-        const std::string where = at + " threads=" + std::to_string(threads);
-        EXPECT_EQ(r.value, oracle) << where;
-        check_best_move(g, cfg, r.best_move, r.value, where);
-      }
-      const auto s = parallel_er_sim(g, cfg, 4);
-      EXPECT_EQ(s.value, oracle) << at << " sim";
-      check_best_move(g, cfg, s.best_move, s.value, at + " sim");
+    core::EngineConfig cfg;
+    cfg.search_depth = depth;
+    cfg.serial_depth = serial;
+    cfg.ordering = ordering;
+    ASSERT_EQ(cfg.unit_kernel, core::UnitKernel::kAlphaBeta);
+    const std::string at = name + " serial=" + std::to_string(serial);
+    for (int threads : {1, 2, 4}) {
+      const auto r = parallel_er_threads(g, cfg, threads);
+      const std::string where = at + " threads=" + std::to_string(threads);
+      EXPECT_EQ(r.value, oracle) << where;
+      check_best_move(g, cfg, r.best_move, r.value, where);
     }
+    const auto s = parallel_er_sim(g, cfg, 4);
+    EXPECT_EQ(s.value, oracle) << at << " sim";
+    check_best_move(g, cfg, s.best_move, s.value, at + " sim");
   }
 }
 
@@ -124,8 +105,6 @@ struct DiffCase {
   core::SpeculationConfig speculation;
   core::SpecRankPolicy rank = core::SpecRankPolicy::kFewestEChildren;
   bool sort = false;
-  bool tt = false;
-  bool order_tables = false;
 
   [[nodiscard]] std::string describe() const {
     return "case " + std::to_string(index) + ": " + game +
@@ -140,15 +119,12 @@ struct DiffCase {
            " early_e_child_choice=" +
            std::to_string(speculation.early_e_child_choice) +
            " spec_rank=" + std::to_string(static_cast<int>(rank)) +
-           " sort=" + std::to_string(sort) + " tt=" + std::to_string(tt) +
-           " order_tables=" + std::to_string(order_tables);
+           " sort=" + std::to_string(sort);
   }
 };
 
 template <Game G>
 void run_diff_case(const G& g, const DiffCase& c) {
-  ConcurrentTranspositionTable tt(12);
-  OrderingTables order;
   core::EngineConfig cfg;
   cfg.search_depth = c.depth;
   cfg.serial_depth = c.serial_depth;
@@ -156,8 +132,6 @@ void run_diff_case(const G& g, const DiffCase& c) {
   cfg.speculation = c.speculation;
   cfg.spec_rank = c.rank;
   cfg.ordering.sort_by_static_value = c.sort;
-  if (c.tt) cfg.shared_table = &tt;
-  if (c.order_tables) cfg.order_tables = &order;
   const Value oracle = alpha_beta_search(g, c.depth, cfg.ordering).value;
   const auto r = parallel_er_threads(g, cfg, c.threads);
   const std::string where = c.describe();
@@ -212,11 +186,6 @@ TEST(UnitKernelDifferential, SeededRandomConfigsMatchAlphaBeta) {
     c.speculation.early_e_child_choice = rng.below(2) == 0;
     c.rank = static_cast<core::SpecRankPolicy>(rng.below(3));
     c.sort = rng.below(2) == 0;
-    const bool hashed = kind != 3;  // Connect Four has no transposition key
-    const bool tt = rng.below(2) == 0;
-    const bool order_tables = rng.below(2) == 0;
-    c.tt = hashed && tt;
-    c.order_tables = hashed && order_tables;
     SCOPED_TRACE(c.describe());
     if (kind <= 1) {
       run_diff_case(UniformRandomTree(branching, c.depth, tree_seed, -range,
@@ -231,28 +200,6 @@ TEST(UnitKernelDifferential, SeededRandomConfigsMatchAlphaBeta) {
     }
     if (::testing::Test::HasFailure()) return;  // the first failure is enough
   }
-}
-
-TEST(UnitKernel, UsesTheSharedTableAtSerialDepthZero) {
-  // At serial depth 0 the root is the cutover, so the whole search is one
-  // kSerialFull unit and no kExpand unit ever probes the table: a warm
-  // table can only pay off through the kernel itself.
-  const othello::OthelloGame g(othello::paper_position(2));
-  ConcurrentTranspositionTable tt(16);
-  core::EngineConfig cfg;
-  cfg.search_depth = 5;
-  cfg.serial_depth = 0;
-  cfg.shared_table = &tt;
-  const auto cold = parallel_er_threads(g, cfg, 2);
-  const auto warm = parallel_er_threads(g, cfg, 2);
-  EXPECT_EQ(cold.engine.serial_units, 1u);
-  EXPECT_EQ(warm.engine.serial_units, 1u);
-  EXPECT_EQ(cold.value, alpha_beta_search(g, 5).value);
-  EXPECT_EQ(warm.value, cold.value);
-  EXPECT_GT(cold.engine.search.tt_stores, 0u);
-  EXPECT_GT(warm.engine.search.tt_hits, 0u);
-  EXPECT_LT(warm.engine.search.nodes_generated(),
-            cold.engine.search.nodes_generated());
 }
 
 }  // namespace

@@ -151,19 +151,16 @@ TEST(SchedulerStats, MergeFoldsEveryField) {
   EXPECT_EQ(a.wakeups_issued, 1u);
 }
 
-TEST(MetricsAdapters, ThreadReportIncludesTtAndNestedScheduler) {
+TEST(MetricsAdapters, ThreadReportIncludesNestedScheduler) {
   runtime::ThreadRunReport r;
   r.threads = 4;
   r.units = 99;
   r.elapsed_ns = 1000;
-  r.tt_probes = 10;
-  r.tt_hits = 4;
   r.sched.lock_wait_ns = 400;
   MetricsRegistry reg;
   register_thread_report(reg, r);
   EXPECT_EQ(reg.counter("run.threads"), 4u);
   EXPECT_EQ(reg.counter("run.units"), 99u);
-  EXPECT_DOUBLE_EQ(reg.gauge("tt.hit_rate"), 0.4);
   // lock_wait_share = 400 / (1000 * 4)
   EXPECT_DOUBLE_EQ(reg.gauge("run.lock_wait_share"), 0.1);
   EXPECT_EQ(reg.counter("sched.lock_wait_ns"), 400u);

@@ -20,7 +20,7 @@ namespace {
 TraceSession make_session() {
   TraceSession s(2, 64);
   s.worker(0).span(EventKind::kComputeSpan, 1000, 2500, /*node=*/42);
-  s.worker(0).instant(EventKind::kTtProbe, 900, 42, /*arg=*/3);
+  s.worker(0).instant(EventKind::kWakeup, 900, 42, /*arg=*/3);
   s.worker(1).span(EventKind::kLockWaitSpan, 0, 450);
   s.worker(1).instant(EventKind::kWakeup, 500, 7, /*arg=*/0);
   s.engine_tracer().instant(EventKind::kUnitCommit, 2600, 42, 17);
@@ -69,7 +69,7 @@ TEST(PerfettoWriter, GoldenSpanLine) {
             std::string::npos)
       << json;
   // Instants keep the node/arg payload and the thread scope.
-  EXPECT_NE(json.find("\"name\":\"tt_probe\",\"s\":\"t\","
+  EXPECT_NE(json.find("\"name\":\"wakeup\",\"s\":\"t\","
                       "\"args\":{\"node\":42,\"arg\":3}"),
             std::string::npos)
       << json;

@@ -1,6 +1,5 @@
-// Lock-free shared transposition table: single-threaded semantics, torn-write
-// safety under real thread contention, and end-to-end equivalence of the
-// parallel ER runtime searching through one shared table.
+// Lock-free shared transposition table: single-threaded semantics and
+// torn-write safety under real thread contention.
 
 #include "search/concurrent_ttable.hpp"
 
@@ -10,12 +9,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/parallel_er.hpp"
-#include "othello/game.hpp"
-#include "othello/positions.hpp"
-#include "randomtree/random_tree.hpp"
-#include "runtime/thread_executor.hpp"
-#include "search/alpha_beta.hpp"
 #include "util/rng.hpp"
 
 namespace ers {
@@ -167,75 +160,6 @@ TEST(ConcurrentTtable, HammerNoTornReads) {
   for (auto& th : pool) th.join();
   EXPECT_EQ(mismatches.load(), 0u);
   EXPECT_GT(hits.load(), 0u);
-}
-
-core::EngineConfig cfg(int depth, int serial,
-                       ConcurrentTranspositionTable* table) {
-  core::EngineConfig c;
-  c.search_depth = depth;
-  c.serial_depth = serial;
-  c.shared_table = table;
-  return c;
-}
-
-TEST(SharedTtParallelEr, MatchesSerialAlphaBetaOnRandomTrees) {
-  for (std::uint64_t seed = 0; seed < 8; ++seed) {
-    const UniformRandomTree g(4, 5, seed, -100, 100);
-    const Value oracle = alpha_beta_search(g, 5).value;
-    ConcurrentTranspositionTable table(14);
-    for (int threads : {2, 4}) {
-      const auto r = parallel_er_threads(g, cfg(5, 3, &table), threads);
-      EXPECT_EQ(r.value, oracle) << "seed=" << seed << " threads=" << threads;
-    }
-  }
-}
-
-TEST(SharedTtParallelEr, MatchesSerialAlphaBetaOnOthello) {
-  // Midgame positions at depth 5: every move adds a disc, so a position
-  // cannot recur at two different plies and depth-covering hits are always
-  // from the same remaining depth — root equivalence is exact.
-  for (int idx = 1; idx <= 3; ++idx) {
-    const othello::OthelloGame g(othello::paper_position(idx));
-    const Value oracle = alpha_beta_search(g, 5).value;
-    ConcurrentTranspositionTable table(16);
-    const auto r = parallel_er_threads(g, cfg(5, 3, &table), 4);
-    EXPECT_EQ(r.value, oracle) << "O" << idx;
-  }
-}
-
-TEST(SharedTtParallelEr, TableTrafficIsCounted) {
-  const othello::OthelloGame g(othello::paper_position(1));
-  ConcurrentTranspositionTable table(16);
-  const auto r = parallel_er_threads(g, cfg(5, 3, &table), 4);
-  EXPECT_GT(r.engine.search.tt_probes, 0u);
-  EXPECT_GT(r.engine.search.tt_stores, 0u);
-  EXPECT_LE(r.engine.search.tt_hits, r.engine.search.tt_probes);
-  EXPECT_GT(table.occupancy(), 0u);
-}
-
-TEST(SharedTtParallelEr, WarmTableSearchesFewerNodes) {
-  // Second search of the same position through the same table: the root's
-  // exact entry (and everything below it) is already known.
-  const othello::OthelloGame g(othello::paper_position(2));
-  ConcurrentTranspositionTable table(16);
-  const auto cold = parallel_er_threads(g, cfg(5, 3, &table), 2);
-  const auto warm = parallel_er_threads(g, cfg(5, 3, &table), 2);
-  EXPECT_EQ(warm.value, cold.value);
-  EXPECT_LT(warm.engine.search.nodes_generated(),
-            cold.engine.search.nodes_generated());
-}
-
-TEST(SharedTtParallelEr, ExecutorReportsHitRate) {
-  const othello::OthelloGame g(othello::paper_position(3));
-  ConcurrentTranspositionTable table(16);
-  table.new_search();
-  core::Engine<othello::OthelloGame> engine(g, cfg(5, 3, &table));
-  runtime::ThreadExecutor<core::Engine<othello::OthelloGame>> exec(4);
-  const auto report = exec.run(engine);
-  EXPECT_GT(report.tt_probes, 0u);
-  EXPECT_LE(report.tt_hits, report.tt_probes);
-  EXPECT_GE(report.tt_hit_rate(), 0.0);
-  EXPECT_LE(report.tt_hit_rate(), 1.0);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Transposition-table search: AlphaBetaSearcher with a shared
-// ConcurrentTranspositionTable attached (the path the engine's unit kernel
-// runs), and the Othello position keys it probes with.  The table's own
+// ConcurrentTranspositionTable and the history/killer ordering tables
+// attached, and the Othello position keys it probes with.  The table's own
 // replacement and packing rules are tested in concurrent_ttable_test.cpp.
 
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 #include "search/alpha_beta.hpp"
 #include "search/concurrent_ttable.hpp"
 #include "search/negmax.hpp"
+#include "search/ordering.hpp"
 
 namespace ers {
 namespace {
@@ -142,6 +143,48 @@ TEST(AlphaBetaSharedTable, WindowedSearchKeepsFailHardSemantics) {
   EXPECT_GE(high.value, exact - 5);
   const auto in = s.run(Window{exact - 5, exact + 5});
   EXPECT_EQ(in.value, exact);
+}
+
+TEST(AlphaBetaSharedTable, DeepeningWithOrderingTablesStaysExact) {
+  // Iterative deepening through one table, as a deepening searcher runs
+  // it: the TT move of the previous depth sorts first, then killers, then
+  // history credit.  Every depth must keep plain alpha-beta's value and a
+  // best move that achieves it, and the ordering tables must change the
+  // search (the node total differs from deepening with the TT alone).
+  using G = othello::OthelloGame;
+  OrderingPolicy paper_sort;
+  paper_sort.sort_by_static_value = true;
+  paper_sort.max_sort_ply = 6;
+  for (int idx = 1; idx <= 3; ++idx) {
+    const G g(othello::paper_position(idx));
+    auto deepen = [&](bool with_ordering) {
+      ConcurrentTranspositionTable table(16);
+      OrderingTables ordering;
+      std::uint64_t nodes = 0;
+      for (int depth = 1; depth <= 6; ++depth) {
+        SCOPED_TRACE(::testing::Message()
+                     << "O" << idx << " depth=" << depth
+                     << " ordering=" << with_ordering);
+        if (depth > 1) table.new_search();
+        AlphaBetaSearcher<G> s(g, depth, paper_sort);
+        s.with_shared_table(&table);
+        if (with_ordering) s.with_ordering_tables(&ordering);
+        const SearchResult r = s.run();
+        nodes += r.stats.nodes_generated();
+        EXPECT_EQ(r.value, alpha_beta_search(g, depth, paper_sort).value);
+        const auto& move = s.best_root_position();
+        EXPECT_TRUE(move.has_value());
+        if (move) {
+          AlphaBetaSearcher<G> plain(g, depth, paper_sort);
+          EXPECT_EQ(negate(plain.run_from(*move, 1).value), r.value);
+        }
+      }
+      return nodes;
+    };
+    const std::uint64_t ordered = deepen(true);
+    const std::uint64_t tt_only = deepen(false);
+    EXPECT_NE(ordered, tt_only) << "O" << idx;
+  }
 }
 
 }  // namespace

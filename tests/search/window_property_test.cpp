@@ -91,8 +91,7 @@ void check_units_respect_windows(bool alpha_beta_kernel) {
       const auto part = units().eval_first_from(g.root(), 0, w, kids);
       Value result = part.value;
       if (!part.done)
-        result = units().refute_rest_from(g.root(), 0, w, part.value, kids)
-                     .value;
+        result = units().refute_rest_from(0, w, part.value, kids).value;
       check_fail_hard(result, truth, w, "eval_first+refute_rest", seed);
       check_fail_hard(units().refute_from(g.root(), 0, w).value, truth, w,
                       "refute_from", seed);
