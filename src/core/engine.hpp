@@ -140,16 +140,14 @@ class Engine {
   };
 
   struct SpecEntry {
-    /// Policy-dependent ranking keys, smaller = scheduled sooner (see
-    /// SpecRankPolicy and spec_keys_for).
-    std::int64_t key1;
-    std::int64_t key2;
+    /// The paper's rank (§6): fewer e-children first, then shallower, then
+    /// the earlier push.  Both keys are read when the entry is pushed.
+    std::int32_t e_children, ply;
     std::uint64_t seq;
     std::uint32_t node;
-    std::uint64_t spec_seq;
     bool operator<(const SpecEntry& o) const noexcept {
-      if (key1 != o.key1) return key1 > o.key1;
-      if (key2 != o.key2) return key2 > o.key2;
+      if (e_children != o.e_children) return e_children > o.e_children;
+      if (ply != o.ply) return ply > o.ply;
       return seq > o.seq;
     }
   };
@@ -251,7 +249,7 @@ class Engine {
       const SpecEntry e = spec_.top();
       spec_.pop();
       Node& n = nodes_[e.node];
-      if (!n.on_spec() || e.spec_seq != n.spec_seq()) continue;  // stale
+      if (!n.on_spec()) continue;  // stale: the node finished while queued
       n.set_on_spec(false);
       if (n.finished || is_dead(e.node)) {
         // A dead speculative entry is a dropped queue item exactly like the
@@ -525,23 +523,6 @@ class Engine {
     }
   }
 
-  /// Ranking keys for the speculative queue under the configured policy.
-  [[nodiscard]] std::pair<std::int64_t, std::int64_t> spec_keys_for(
-      std::uint32_t id) const {
-    const Node& n = nodes_[id];
-    switch (cfg_.spec_rank) {
-      case SpecRankPolicy::kFewestEChildren:
-        return {n.e_children(), n.ply};
-      case SpecRankPolicy::kBestBound: {
-        const std::uint32_t c = best_promotion_candidate(n);
-        return {c == kNoNode ? kValueInf : nodes_[c].value, n.ply};
-      }
-      case SpecRankPolicy::kFifo:
-        return {0, 0};
-    }
-    return {0, 0};
-  }
-
   // --- queue helpers (mu_ held, except the single-threaded ctor) -----------
 
   void push_primary(std::uint32_t id) {
@@ -554,11 +535,8 @@ class Engine {
   void push_spec(std::uint32_t id) {
     Node& n = nodes_[id];
     if (n.on_spec() || n.finished) return;
-    ColdRecord* c = checked_cold(n);  // spec-eligible nodes are expanded
-    c->on_spec = true;
-    ++c->spec_seq;
-    const auto [k1, k2] = spec_keys_for(id);
-    spec_.push(SpecEntry{k1, k2, seq_++, id, c->spec_seq});
+    checked_cold(n)->on_spec = true;  // spec-eligible nodes are expanded
+    spec_.push(SpecEntry{n.e_children(), n.ply, seq_++, id});
   }
 
   // --- predicates ---------------------------------------------------------
@@ -1015,7 +993,10 @@ class Engine {
     std::vector<std::uint32_t> child_nodes;  ///< kNoNode until instantiated
     bool expanded = false;        ///< child positions computed (Table 1 ran)
     bool partial = false;         ///< cutover node: Eval_first completed
-    bool on_spec = false;         ///< a live entry exists in the spec queue
+    /// A live entry exists in the spec queue.  A node has at most one:
+    /// push_spec returns early while this is set, only a pop of that entry
+    /// or the node's finish clears it, and a finished node is never pushed.
+    bool on_spec = false;
     bool first_e_selected = false;
     bool e_child_evaluated = false;  ///< some promoted e-child has finished
     bool refutation_dispatched = false;
@@ -1024,7 +1005,6 @@ class Engine {
     std::int32_t elder_done = 0;  ///< children with tentative value / finished
     std::int32_t e_children = 0;  ///< children promoted to e-node
     std::uint32_t seq_refuting = kNoNode;  ///< sequential-refutation cursor
-    std::uint64_t spec_seq = 0;
   };
 
   /// Hot per-node record: at most one cache line.  Everything the
@@ -1091,9 +1071,6 @@ class Engine {
     }
     [[nodiscard]] std::uint32_t seq_refuting() const noexcept {
       return cold != nullptr ? cold->seq_refuting : kNoNode;
-    }
-    [[nodiscard]] std::uint64_t spec_seq() const noexcept {
-      return cold != nullptr ? cold->spec_seq : 0;
     }
     /// A finish clears spec membership on any node, expanded or not.
     void set_on_spec(bool v) noexcept {

@@ -38,22 +38,6 @@ struct SpeculationConfig {
   bool early_e_child_choice = true;
 };
 
-/// How potential speculative work (e-nodes on the speculative queue) is
-/// ranked globally.  The paper uses kFewestEChildren and calls it "a rather
-/// naive ordering"; finding a better global ranking is its §8 future work,
-/// so two alternatives are first-class here and compared in
-/// bench_spec_policy.
-enum class SpecRankPolicy : std::uint8_t {
-  /// Paper §6: fewest e-children first, ties in favor of shallower nodes.
-  kFewestEChildren,
-  /// Most promising first: rank by the best unpromoted candidate's
-  /// tentative value (lower = closer to becoming the node's real e-child),
-  /// ties in favor of shallower nodes.
-  kBestBound,
-  /// Arrival order (no ranking) — the control.
-  kFifo,
-};
-
 /// The serial search below the root of every unit (DESIGN.md §18).  Above
 /// the serial-depth cutover the engine runs ER either way, and each unit
 /// keeps Figure 8's protocol at its root (WorkKind).
@@ -90,7 +74,6 @@ struct EngineConfig {
   /// Move ordering applied to non-e-node children (paper §7).
   OrderingPolicy ordering;
   SpeculationConfig speculation;
-  SpecRankPolicy spec_rank = SpecRankPolicy::kFewestEChildren;
   /// The search below the root of every serial unit.  Alpha-beta by
   /// default; harness/tree_registry.cpp pins kSerialEr for the Table 3
   /// trees, the only reason that kernel stays.

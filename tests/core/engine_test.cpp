@@ -200,6 +200,21 @@ TEST(Engine, NoSpeculativePromotionsWhenDisabled) {
   EXPECT_EQ(r.engine.promotions_speculative, 0u);
 }
 
+TEST(Engine, PaperRankPinAtSixteenProcessors) {
+  // Pins the speculative queue's rank (paper §6: fewer e-children first,
+  // then shallower, then the earlier push).  At the paper grain, serial
+  // depth 5, this run makes 12 speculative promotions, enough that another
+  // rank moves every counter below (EXPERIMENTS.md, "One speculation
+  // rank"); SchedulePin's default grain makes too few to tell ranks apart.
+  const UniformRandomTree g(8, 7, 7);
+  const auto r = parallel_er_sim(g, config_for(7, 5), 16);
+  EXPECT_EQ(r.value, 6496);
+  EXPECT_EQ(r.engine.search.nodes_generated(), 182'645u);
+  EXPECT_EQ(r.engine.units_processed, 13'662u);
+  EXPECT_EQ(r.metrics.makespan, 81'780u);
+  EXPECT_EQ(r.engine.promotions_speculative, 12u);
+}
+
 TEST(Engine, MoreProcessorsExamineAtLeastAsManyNodesUsually) {
   // Speculative loss: parallel runs examine more nodes than P=1 (this is
   // Figure 12/13's phenomenon).  Deterministic for fixed seeds.

@@ -103,7 +103,6 @@ struct DiffCase {
   int serial_depth = 0;
   core::UnitKernel kernel = core::UnitKernel::kAlphaBeta;
   core::SpeculationConfig speculation;
-  core::SpecRankPolicy rank = core::SpecRankPolicy::kFewestEChildren;
   bool sort = false;
 
   [[nodiscard]] std::string describe() const {
@@ -118,7 +117,6 @@ struct DiffCase {
            std::to_string(speculation.multiple_e_children) +
            " early_e_child_choice=" +
            std::to_string(speculation.early_e_child_choice) +
-           " spec_rank=" + std::to_string(static_cast<int>(rank)) +
            " sort=" + std::to_string(sort);
   }
 };
@@ -130,7 +128,6 @@ void run_diff_case(const G& g, const DiffCase& c) {
   cfg.serial_depth = c.serial_depth;
   cfg.unit_kernel = c.kernel;
   cfg.speculation = c.speculation;
-  cfg.spec_rank = c.rank;
   cfg.ordering.sort_by_static_value = c.sort;
   const Value oracle = alpha_beta_search(g, c.depth, cfg.ordering).value;
   const auto r = parallel_er_threads(g, cfg, c.threads);
@@ -184,7 +181,6 @@ TEST(UnitKernelDifferential, SeededRandomConfigsMatchAlphaBeta) {
     c.speculation.parallel_refutation = rng.below(2) == 0;
     c.speculation.multiple_e_children = rng.below(2) == 0;
     c.speculation.early_e_child_choice = rng.below(2) == 0;
-    c.rank = static_cast<core::SpecRankPolicy>(rng.below(3));
     c.sort = rng.below(2) == 0;
     SCOPED_TRACE(c.describe());
     if (kind <= 1) {
