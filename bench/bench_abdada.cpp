@@ -97,8 +97,7 @@ AlgoRun run_er(const G& game, const ers::core::EngineConfig& cfg, int threads,
 template <typename G>
 AlgoRun run_abdada(const G& game, const ers::core::EngineConfig& cfg,
                    int threads, int reps, ers::Value oracle,
-                   ers::obs::TraceSession* trace,
-                   ers::obs::MetricsRegistry* reg) {
+                   ers::obs::TraceSession* trace) {
   using namespace ers;
   AlgoRun sum;
   for (int rep = 0; rep < reps; ++rep) {
@@ -111,8 +110,6 @@ AlgoRun run_abdada(const G& game, const ers::core::EngineConfig& cfg,
     const auto r =
         baselines::abdada_parallel_search(game, cfg.search_depth, opt);
     ERS_CHECK(r.value == oracle && "ABDADA diverged from serial alpha-beta");
-    if (traced && reg != nullptr)
-      obs::register_search_stats(*reg, r.stats, "abdada.");
     std::uint64_t lo = r.per_thread.empty() ? 0 : ~std::uint64_t{0};
     std::uint64_t hi = 0;
     for (const auto& t : r.per_thread) {
@@ -151,8 +148,6 @@ int main(int argc, char** argv) {
 
   obs::TraceSession session;
   obs::TraceSession* trace = bench::trace_session_for(opt, session);
-  obs::MetricsRegistry reg;
-  reg.set("bench", "abdada");
   TextTable table({"tree", "algo", "threads", "nodes", "nodes/s", "tt hits",
                    "hit rate", "defer", "revisit", "re-search",
                    "thr nodes min/max", "value"});
@@ -174,10 +169,9 @@ int main(int argc, char** argv) {
               return is_er ? run_er(game, base.engine, threads, opt.reps,
                                     oracle)
                            : run_abdada(game, base.engine, threads, opt.reps,
-                                        oracle, trace, &reg);
+                                        oracle, trace);
             },
             base.game);
-        reg.set("tree", base.name);
         table.add_row(
             {base.name, algo, std::to_string(threads),
              std::to_string(r.nodes), TextTable::num(r.nodes_per_sec, 0),
@@ -209,6 +203,6 @@ int main(int argc, char** argv) {
   }
   table.print();
   bench::write_bench_json("abdada", opt.reps, json, opt.json_out);
-  bench::write_observability(opt, trace, reg, "abdada");
+  bench::write_observability(opt, trace, "abdada");
   return 0;
 }

@@ -14,8 +14,6 @@ int main(int argc, char** argv) {
 
   obs::TraceSession session;
   obs::TraceSession* trace = bench::trace_session_for(opt, session);
-  obs::MetricsRegistry reg;
-  reg.set("bench", "ablation_speculation");
   TextTable table({"tree", "procs", "PR", "ME", "EC", "speedup", "efficiency",
                    "nodes", "idle share", "spec promotions"});
   for (const auto& name : opt.tree_names) {
@@ -30,8 +28,6 @@ int main(int argc, char** argv) {
         if (trace != nullptr) trace->clear();  // keep the last point only
         const auto pt =
             harness::run_parallel_point(tree, p, serial, {}, &spec, trace);
-        reg.set("tree", tree.name);
-        bench::register_parallel_point(reg, pt);
         const double idle_share =
             static_cast<double>(pt.metrics.idle_time) /
             (static_cast<double>(pt.metrics.makespan) * p);
@@ -46,6 +42,6 @@ int main(int argc, char** argv) {
     }
   }
   table.print();
-  bench::write_observability(opt, trace, reg, "ablation_speculation");
+  bench::write_observability(opt, trace, "ablation_speculation");
   return 0;
 }

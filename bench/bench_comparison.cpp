@@ -86,8 +86,6 @@ int main(int argc, char** argv) {
 
   obs::TraceSession session;
   obs::TraceSession* trace = bench::trace_session_for(opt, session);
-  obs::MetricsRegistry reg;
-  reg.set("bench", "comparison");
   TextTable table({"tree", "procs", "ER", "aspiration", "MWF", "tree-split",
                    "pv-split"});
   auto sweep = [&](const harness::ExperimentTree& tree) {
@@ -98,13 +96,6 @@ int main(int argc, char** argv) {
             return run_all(game, tree, serial, p, trace);
           },
           tree.game);
-      reg.set("tree", tree.name);
-      reg.set("processors", p);
-      reg.set("speedup.er", row.er);
-      reg.set("speedup.aspiration", row.aspiration);
-      reg.set("speedup.mwf", row.mwf);
-      reg.set("speedup.tree_split", row.tree_split);
-      reg.set("speedup.pv_split", row.pv_split);
       table.add_row({tree.name, std::to_string(p), TextTable::num(row.er, 2),
                      TextTable::num(row.aspiration, 2),
                      TextTable::num(row.mwf, 2),
@@ -128,6 +119,6 @@ int main(int argc, char** argv) {
     sweep(akl);
   }
   table.print();
-  bench::write_observability(opt, trace, reg, "comparison");
+  bench::write_observability(opt, trace, "comparison");
   return 0;
 }

@@ -13,8 +13,7 @@
 // serial alpha-beta at every thread count.
 //
 // Emits BENCH_scheduler.json (schema: bench/reps stamps + one row per
-// configuration).  It is also the run the CI trace lane records (--trace,
-// --metrics).
+// configuration).  It is also the run the CI trace lane records (--trace).
 
 #include <cstdint>
 #include <string>
@@ -41,8 +40,7 @@ struct SchedRun {
 template <typename G>
 SchedRun run_config(const G& game, const ers::core::EngineConfig& cfg,
                     int threads, int reps, ers::Value oracle,
-                    ers::obs::TraceSession* trace,
-                    ers::obs::MetricsRegistry* reg) {
+                    ers::obs::TraceSession* trace) {
   using namespace ers;
   SchedRun sum;
   std::uint64_t lock_acqs = 0;
@@ -58,7 +56,6 @@ SchedRun run_config(const G& game, const ers::core::EngineConfig& cfg,
     runtime::ThreadExecutor<core::Engine<G>> exec(threads);
     exec.with_trace(traced ? trace : nullptr);
     const auto report = exec.run(engine);
-    if (traced && reg != nullptr) obs::register_thread_report(*reg, report);
     ERS_CHECK(engine.root_value() == oracle &&
               "thread runtime changed the search result");
     sum.value = engine.root_value();
@@ -98,8 +95,6 @@ int main(int argc, char** argv) {
 
   obs::TraceSession session;
   obs::TraceSession* trace = bench::trace_session_for(opt, session);
-  obs::MetricsRegistry reg;
-  reg.set("bench", "scheduler");
   TextTable table({"tree", "threads", "units/s", "lock share", "locks/unit",
                    "nodes", "value"});
   std::vector<std::string> json;
@@ -116,10 +111,9 @@ int main(int argc, char** argv) {
       const SchedRun r = std::visit(
           [&](const auto& game) {
             return run_config(game, base.engine, threads, opt.reps, oracle,
-                              trace, &reg);
+                              trace);
           },
           base.game);
-      reg.set("tree", base.name);
       table.add_row({base.name, std::to_string(threads),
                      TextTable::num(r.units_per_sec, 0),
                      TextTable::num(r.lock_wait_share, 4),
@@ -141,6 +135,6 @@ int main(int argc, char** argv) {
   }
   table.print();
   bench::write_bench_json("scheduler", opt.reps, json, opt.json_out);
-  bench::write_observability(opt, trace, reg, "scheduler");
+  bench::write_observability(opt, trace, "scheduler");
   return 0;
 }

@@ -235,8 +235,6 @@ int main(int argc, char** argv) {
 
   obs::TraceSession session;
   obs::TraceSession* trace = bench::trace_session_for(opt, session);
-  obs::MetricsRegistry reg;
-  reg.set("bench", "serial_depth");
   TextTable table({"tree", "serial depth", "procs", "units", "speedup",
                    "efficiency", "idle share", "lock share", "nodes",
                    "1-thr ms", "4-thr ms"});
@@ -251,9 +249,6 @@ int main(int argc, char** argv) {
       if (trace != nullptr) trace->clear();  // keep the last point only
       const auto pt =
           harness::run_parallel_point(tree, p, serial, {}, nullptr, trace);
-      reg.set("tree", tree.name);
-      reg.set("serial_depth", sd);
-      bench::register_parallel_point(reg, pt);
       const double total = static_cast<double>(pt.metrics.makespan) * p;
       table.add_row({tree.name, std::to_string(sd), std::to_string(p),
                      std::to_string(pt.metrics.units),
@@ -274,6 +269,6 @@ int main(int argc, char** argv) {
   for (const auto& r : references) std::printf("  %s", r.c_str());
   std::printf("\n");
   print_shape_table(opt.scale);
-  bench::write_observability(opt, trace, reg, "serial_depth");
+  bench::write_observability(opt, trace, "serial_depth");
   return 0;
 }

@@ -36,8 +36,6 @@ int main(int argc, char** argv) {
 
   obs::TraceSession session;
   obs::TraceSession* trace = bench::trace_session_for(opt, session);
-  obs::MetricsRegistry reg;
-  reg.set("bench", "spec_policy");
   TextTable table({"tree", "procs", "nodes", "node ratio", "waste share",
                    "speedup", "value"});
   std::vector<std::string> json;
@@ -55,10 +53,6 @@ int main(int argc, char** argv) {
           tree.game);
       ERS_CHECK(value == serial.value &&
                 "parallel ER disagrees with serial alpha-beta");
-      reg.set("tree", tree.name);
-      obs::register_sim_metrics(reg, metrics);
-      obs::register_engine_stats(reg, engine_stats);
-      obs::register_engine_waste_stats(reg, waste);
       const auto nodes = engine_stats.search.nodes_generated();
       const double node_ratio =
           er_nodes == 0.0 ? 0.0 : static_cast<double>(nodes) / er_nodes;
@@ -91,6 +85,6 @@ int main(int argc, char** argv) {
   // One deterministic run per row (single-driver simulator): reps would
   // repeat identical numbers, so the stamp is a literal 1.
   bench::write_bench_json("spec_policy", 1, json, opt.json_out);
-  bench::write_observability(opt, trace, reg, "spec_policy");
+  bench::write_observability(opt, trace, "spec_policy");
   return 0;
 }

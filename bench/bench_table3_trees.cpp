@@ -12,21 +12,12 @@ int main(int argc, char** argv) {
                                         {"R1", "R2", "R3", "O1", "O2", "O3"});
   bench::print_header("Table 3: experiment trees and serial baselines");
 
-  obs::MetricsRegistry reg;
-  reg.set("bench", "table3_trees");
   TextTable table({"name", "type", "degree", "search depth", "serial depth",
                    "root value", "alpha-beta nodes", "serial ER nodes",
                    "alpha-beta cost", "serial ER cost", "faster serial"});
   for (const auto& name : opt.tree_names) {
     const auto tree = harness::tree_by_name(name, opt.scale);
     const auto serial = harness::run_serial_baselines(tree);
-    // Serial baselines only — nothing runs on an executor here, so --trace
-    // has nothing to record; --metrics snapshots the last tree's baseline.
-    reg.set("tree", tree.name);
-    reg.set("serial.alpha_beta_nodes", serial.alpha_beta.nodes_generated());
-    reg.set("serial.er_nodes", serial.er.nodes_generated());
-    reg.set("serial.alpha_beta_cost", serial.alpha_beta_cost);
-    reg.set("serial.er_cost", serial.er_cost);
     std::string degree = "varying";
     if (const auto* rt = std::get_if<UniformRandomTree>(&tree.game))
       degree = std::to_string(rt->degree());
@@ -41,6 +32,8 @@ int main(int argc, char** argv) {
                    serial.er_cost < serial.alpha_beta_cost ? "ER" : "alpha-beta"});
   }
   table.print();
-  bench::write_observability(opt, /*trace=*/nullptr, reg, "table3_trees");
+  // Serial baselines only: nothing runs on an executor here, so --trace
+  // has nothing to record (write_observability says so).
+  bench::write_observability(opt, /*trace=*/nullptr, "table3_trees");
   return 0;
 }

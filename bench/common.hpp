@@ -9,7 +9,6 @@
 //   --trees A,B restrict to a subset of tree names
 //   --trace F   record the bench's runs into a Perfetto trace at F
 //               (open in ui.perfetto.dev, or feed to tools/trace_report)
-//   --metrics F write the consolidated metrics snapshot (JSON) to F
 //   --json-out F write the BENCH rows to F instead of BENCH_<name>.json —
 //               what the CI bench guard uses to keep the fresh run from
 //               clobbering the committed baseline it diffs against
@@ -21,8 +20,6 @@
 #include "harness/experiment.hpp"
 #include "harness/tree_registry.hpp"
 #include "obs/json.hpp"
-#include "obs/metrics.hpp"
-#include "obs/metrics_adapters.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_writer.hpp"
 #include "util/cli.hpp"
@@ -34,9 +31,8 @@ struct FigureOptions {
   int scale = 0;
   int reps = 5;  ///< repetitions for thread-runtime (nondeterministic) benches
   std::vector<std::string> tree_names;
-  std::string trace_path;    ///< empty = untraced (--trace)
-  std::string metrics_path;  ///< empty = no snapshot (--metrics)
-  std::string json_out;      ///< empty = default BENCH_<name>.json (--json-out)
+  std::string trace_path;  ///< empty = untraced (--trace)
+  std::string json_out;    ///< empty = default BENCH_<name>.json (--json-out)
 };
 
 inline FigureOptions parse_options(int argc, char** argv,
@@ -46,7 +42,6 @@ inline FigureOptions parse_options(int argc, char** argv,
   opt.scale = static_cast<int>(args.get_int("scale", 0));
   opt.reps = static_cast<int>(args.get_int("reps", 5));
   opt.trace_path = args.get("trace", "");
-  opt.metrics_path = args.get("metrics", "");
   opt.json_out = args.get("json-out", "");
   std::string trees = args.get("trees", "");
   if (trees.empty()) {
@@ -71,34 +66,18 @@ inline FigureOptions parse_options(int argc, char** argv,
   return &storage;
 }
 
-/// Flush --trace / --metrics artifacts after the bench's runs.  No-ops on
-/// empty paths, so every bench can call this unconditionally.
+/// Flush the --trace file after the bench's runs.  A no-op when --trace
+/// was not given, so every bench can call this unconditionally.
 inline void write_observability(const FigureOptions& opt,
                                 const obs::TraceSession* trace,
-                                const obs::MetricsRegistry& metrics,
                                 const std::string& process_name) {
-  if (!opt.trace_path.empty()) {
-    if (trace != nullptr)
-      obs::write_perfetto(opt.trace_path, *trace, process_name);
-    else
-      std::fprintf(stderr,
-                   "--trace ignored: tracing compiled out (ERS_TRACING=OFF) "
-                   "or this bench runs no executor\n");
-  }
-  if (!opt.metrics_path.empty()) metrics.write_json(opt.metrics_path);
-}
-
-/// Flatten one simulated parallel point into a registry (overwrites on
-/// repeat calls, so benches can register every point and keep the last).
-inline void register_parallel_point(obs::MetricsRegistry& reg,
-                                    const harness::ParallelPoint& p) {
-  reg.set("processors", p.processors);
-  reg.set("speedup", p.speedup);
-  reg.set("efficiency", p.efficiency);
-  obs::register_sim_metrics(reg, p.metrics);
-  obs::register_engine_stats(reg, p.engine);
-  obs::register_engine_mem_stats(reg, p.mem);
-  obs::register_engine_waste_stats(reg, p.waste);
+  if (opt.trace_path.empty()) return;
+  if (trace != nullptr)
+    obs::write_perfetto(opt.trace_path, *trace, process_name);
+  else
+    std::fprintf(stderr,
+                 "--trace ignored: tracing compiled out (ERS_TRACING=OFF) "
+                 "or this bench runs no executor\n");
 }
 
 /// Run the serial baselines and the full processor sweep for one tree.
@@ -107,21 +86,6 @@ struct TreeSweep {
   harness::SerialBaseline serial;
   std::vector<harness::ParallelPoint> points;
 };
-
-/// Standard observability epilogue for the simulated sweep benches:
-/// snapshot the last sweep's final parallel point into a registry and
-/// flush the --trace / --metrics artifacts.
-inline void write_sweep_observability(const FigureOptions& opt,
-                                      const obs::TraceSession* trace,
-                                      const TreeSweep& sweep,
-                                      const std::string& process_name) {
-  if (opt.trace_path.empty() && opt.metrics_path.empty()) return;
-  obs::MetricsRegistry reg;
-  reg.set("bench", process_name);
-  reg.set("tree", sweep.tree.name);
-  if (!sweep.points.empty()) register_parallel_point(reg, sweep.points.back());
-  write_observability(opt, trace, reg, process_name);
-}
 
 inline TreeSweep run_sweep(const std::string& name, int scale,
                            const core::SpeculationConfig* speculation = nullptr,
@@ -154,10 +118,9 @@ inline void print_header(
 // Every bench can emit a BENCH_<name>.json next to its table: one JSON
 // object per line, so runs diff cleanly and scripts consume them without a
 // JSON library on either side.  The emitters live in obs/json.hpp (the
-// repo's single JSON writer, shared with the metrics registry and the
-// Perfetto trace export); bench code keeps its unqualified spelling via
-// the using-declarations below, and the emitted bytes are unchanged
-// (tests/obs/json_test.cpp pins them).
+// repo's single JSON writer, shared with the Perfetto trace export); bench
+// code keeps its unqualified spelling via the using-declarations below,
+// and the emitted bytes are unchanged (tests/obs/json_test.cpp pins them).
 
 using obs::json_escape;
 using obs::JsonObject;

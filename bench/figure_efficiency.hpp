@@ -2,8 +2,6 @@
 // Shared driver for Figures 10/11 (efficiency of ER vs processor count) and
 // Figures 12/13 (nodes generated vs processor count).
 
-#include <optional>
-
 #include "baselines/abdada_par.hpp"
 #include "common.hpp"
 #include "search/alpha_beta.hpp"
@@ -64,7 +62,6 @@ inline void print_efficiency_figure(const char* title,
   print_header(title);
   obs::TraceSession session;
   obs::TraceSession* trace = trace_session_for(opt, session);
-  std::optional<TreeSweep> last;
   TextTable table({"tree", "procs", "speedup", "efficiency",
                    "serial alpha-beta eff.", "utilization", "idle share",
                    "waste share", "bytes/node"});
@@ -77,8 +74,7 @@ inline void print_efficiency_figure(const char* title,
           static_cast<double>(p.metrics.idle_time) / cap;
       // Waste share (DESIGN.md §16): compute charged to cancelled subtrees
       // over total processor-time.  idle + waste + useful-compute +
-      // serialization shares decompose the figure's 1 - efficiency — the
-      // waste ledger turns the efficiency gap into named causes.
+      // serialization shares decompose the figure's 1 - efficiency.
       const double waste_share = static_cast<double>(p.waste.total_ns()) / cap;
       // Peak engine storage (hot arena + position arena + cold records)
       // amortized over every node the search generated — the memory-side
@@ -97,11 +93,10 @@ inline void print_efficiency_figure(const char* title,
                      TextTable::num(waste_share, 3),
                      TextTable::num(bytes_per_node, 1)});
     }
-    last = s;
   }
   table.print();
   print_abdada_rival(opt);
-  if (last.has_value()) write_sweep_observability(opt, trace, *last, title);
+  write_observability(opt, trace, title);
 }
 
 /// Figures 12/13: nodes generated per processor count, with the serial
@@ -110,7 +105,6 @@ inline void print_nodes_figure(const char* title, const FigureOptions& opt) {
   print_header(title);
   obs::TraceSession session;
   obs::TraceSession* trace = trace_session_for(opt, session);
-  std::optional<TreeSweep> last;
   TextTable table({"tree", "procs", "nodes generated", "vs serial ER",
                    "serial ER nodes", "alpha-beta nodes"});
   for (const auto& name : opt.tree_names) {
@@ -125,10 +119,9 @@ inline void print_nodes_figure(const char* title, const FigureOptions& opt) {
                      std::to_string(er_nodes),
                      std::to_string(s.serial.alpha_beta.nodes_generated())});
     }
-    last = s;
   }
   table.print();
-  if (last.has_value()) write_sweep_observability(opt, trace, *last, title);
+  write_observability(opt, trace, title);
 }
 
 }  // namespace ers::bench

@@ -249,9 +249,11 @@ class Engine {
       const SpecEntry e = spec_.top();
       spec_.pop();
       Node& n = nodes_[e.node];
-      if (!n.on_spec()) continue;  // stale: the node finished while queued
+      // Stale: the node finished while queued.  A finish clears on_spec,
+      // so every entry past this line belongs to an unfinished node.
+      if (!n.on_spec()) continue;
       n.set_on_spec(false);
-      if (n.finished || is_dead(e.node)) {
+      if (is_dead(e.node)) {
         // A dead speculative entry is a dropped queue item exactly like the
         // primary case above: the waste ledger and trace_report see it too
         // (EngineStats::dead_items_dropped counts primary entries only).
@@ -267,11 +269,9 @@ class Engine {
   }
 
   /// A queue entry whose node finished or died before it was popped
-  /// (requires mu_): charge the ledger's kDeadDrop cancel row and trace it.
+  /// (requires mu_): count it as a ledger cancel and trace it.
   void drop_dead(std::uint32_t id) {
-    waste_.cancels[static_cast<std::size_t>(WasteCause::kDeadDrop)]
-                  [waste_band_of(static_cast<std::uint32_t>(nodes_[id].ply))] +=
-        1;
+    ++waste_.cancels;
     trace_instant(obs::EventKind::kSpecCancel, id, /*arg=*/0);
   }
 
@@ -480,21 +480,17 @@ class Engine {
     // Waste ledger (DESIGN.md §16).  A unit landing in a live subtree adds
     // itself to the uncharged-subtree tallies of the node and every
     // ancestor, so a future kill can charge the whole subtree in O(1).  A
-    // unit landing after its subtree died is charged immediately to the
-    // (cause, band) cell of the nearest cancelled subtree root — and stays
-    // out of the running tallies, which only ever hold uncharged work.
-    const std::uint32_t wr = nearest_waste_root(item.node);
-    if (wr == kNoNode) {
+    // unit landing after its subtree died is charged immediately — its
+    // nearest cancelled ancestor already was — and stays out of the
+    // running tallies, which only ever hold uncharged work.
+    if (nearest_waste_root(item.node) == kNoNode) {
       for (std::uint32_t a = item.node; a != kNoNode; a = nodes_[a].parent) {
         sub_units_[a] += 1;
         sub_ns_[a] += r.compute_ns;
       }
     } else {
-      const auto ci = static_cast<std::size_t>(waste_state_[wr] - 1);
-      const std::size_t b = waste_band_of(
-          static_cast<std::uint32_t>(nodes_[wr].ply));
-      waste_.units[ci][b] += 1;
-      waste_.compute_ns[ci][b] += r.compute_ns;
+      waste_.units += 1;
+      waste_.compute_ns += r.compute_ns;
     }
     // Commit record with the parent link: trace_report rebuilds the unit
     // dependency graph (and its critical path) from exactly these events.
@@ -752,10 +748,10 @@ class Engine {
 
   // --- combine (paper §6) ---------------------------------------------------
 
-  /// `cause` labels the waste ledger's charge for every subtree this finish
-  /// (and its backup chain) kills: kBoundChange when the finish originated
-  /// in a pop-time cutoff, kSiblingResolution when a committed result
-  /// resolved the node.
+  /// `cause` labels the kSpecCancel trace event of every subtree this
+  /// finish (and its backup chain) kills: kBoundChange when the finish
+  /// originated in a pop-time cutoff, kSiblingResolution when a committed
+  /// result resolved the node.
   void finish_and_combine(std::uint32_t id, WasteCause cause) {
     std::uint32_t cur = id;
     for (;;) {
@@ -1178,7 +1174,7 @@ class Engine {
   /// Waste ledger (DESIGN.md §16): each unfinished child a freshly finished
   /// node kills is a cancelled subtree root, charged here — once — with
   /// its accumulated uncharged subtree work and marked in waste_state_ so
-  /// post-death commits route to the same (cause, band) cell.  The charge
+  /// post-death commits below it are charged as they land.  The charge
   /// is skipped entirely when the finishing node already lies inside a
   /// cancelled subtree (nearest_waste_root hit): everything below was
   /// attributed when that subtree died.  Charging a child subtracts its
@@ -1198,15 +1194,12 @@ class Engine {
   /// first) — trace_report's speculation-waste section reconciles against
   /// exactly these.
   void charge_waste(std::uint32_t ch, WasteCause cause) {
-    const auto ci = static_cast<std::size_t>(cause);
-    const std::size_t b =
-        waste_band_of(static_cast<std::uint32_t>(nodes_[ch].ply));
     const std::uint64_t u = sub_units_[ch];
     const std::uint64_t ns = sub_ns_[ch];
-    waste_.cancels[ci][b] += 1;
-    waste_.units[ci][b] += u;
-    waste_.compute_ns[ci][b] += ns;
-    waste_state_[ch] = static_cast<std::uint8_t>(ci + 1);
+    waste_.cancels += 1;
+    waste_.units += u;
+    waste_.compute_ns += ns;
+    waste_state_[ch] = 1;
     // The subtree's work is now attributed; remove it from every ancestor's
     // uncharged tally so an enclosing kill cannot charge it again.
     for (std::uint32_t a = nodes_[ch].parent; a != kNoNode;
@@ -1257,8 +1250,8 @@ class Engine {
   /// Wasted-work attribution ledger (DESIGN.md §16).
   EngineWasteStats waste_;
   /// Id-parallel ledger side arrays: per-node *uncharged* committed
-  /// subtree work, and the cancelled-subtree mark (0 = live, else
-  /// WasteCause + 1).
+  /// subtree work, and the cancelled-subtree mark (1 = a charged subtree
+  /// root, else 0).
   std::vector<std::uint64_t> sub_units_;
   std::vector<std::uint64_t> sub_ns_;
   std::vector<std::uint8_t> waste_state_;

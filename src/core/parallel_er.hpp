@@ -35,18 +35,18 @@ struct ParallelSearchResult {
   /// serial search in engine.search, so node counts are the call's total.
   core::EngineStats engine;
   /// The executor's run reports folded into one (scheduler counters and
-  /// units summed; mem the larger run's snapshot) — what
-  /// obs::register_thread_report flattens into a metrics snapshot, and what
-  /// a traced run's per-worker spans must sum to.  elapsed_ns is the wall
-  /// time of the whole call, estimate included.
+  /// units summed; mem the larger run's snapshot) — what a traced run's
+  /// per-worker spans must sum to.  elapsed_ns is the wall time of the
+  /// whole call, estimate included.
   runtime::ThreadRunReport report;
   /// The root child achieving the value (the move to play), from the last
   /// run; empty when the whole search ran as one serial unit or the root
   /// is a leaf.
   std::optional<Position> best_move;
-  /// Wasted-work attribution: committed units/ns later cancelled, by cause
-  /// and ply band, summed over the runs (DESIGN.md §16; duplicate of
-  /// report.waste for symmetry with the sim result).
+  /// Wasted-work attribution: committed units/ns later cancelled, summed
+  /// over the runs (DESIGN.md §16).  Unit counts are always exact;
+  /// compute_ns only on traced runs — untraced thread workers never read
+  /// the clock, so they stamp 0 ns per unit.
   core::EngineWasteStats waste;
   /// Aspiration re-searches: 1 when the guess window failed, else 0
   /// (always 0 for an unsorted search, which runs once with the full
@@ -107,6 +107,7 @@ template <Game G>
     exec.with_trace(trace);
     out.report.merge(exec.run(engine));
     out.engine += engine.stats();
+    out.waste += engine.waste_stats();
     out.value = engine.root_value();
     out.best_move = engine.best_root_position();
     return out.value;
@@ -120,7 +121,6 @@ template <Game G>
   } else {
     (void)search(full_window());
   }
-  out.waste = out.report.waste;
   out.report.elapsed_ns = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - start)
           .count());

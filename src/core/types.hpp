@@ -1,7 +1,6 @@
 #pragma once
 // Shared types for the parallel ER problem-heap engine (paper §6).
 
-#include <cstddef>
 #include <cstdint>
 #include <limits>
 
@@ -126,8 +125,7 @@ struct EngineLockStats {
 /// (DESIGN.md §15): the id-stable hot arena, the id-parallel position
 /// arena, and the cold records.  Nothing is freed before the engine is
 /// destroyed, so every total is monotone and peak_bytes is simply the
-/// current sum.  Exported through obs::register_engine_mem_stats as the
-/// engine.mem.* gauges.
+/// current sum.
 struct EngineMemStats {
   std::uint64_t live_nodes = 0;      ///< nodes in the hot arena
   std::uint64_t hot_bytes = 0;       ///< hot-record arena chunk bytes
@@ -139,102 +137,44 @@ struct EngineMemStats {
   std::uint64_t peak_bytes = 0;      ///< hot + position + cold (monotone)
 };
 
-/// Why a subtree's queued/committed work was cancelled — the cause axis of
-/// the wasted-work attribution ledger (DESIGN.md §16).  The ledger charges
-/// at the engine's kill points, so the causes mirror them exactly:
-///   * kBoundChange       — the parent finished through a pop-time cutoff
-///                          (its value crossed its bound), killing its
-///                          still-unfinished children;
-///   * kSiblingResolution — the parent finished through a committed child's
-///                          value (normal resolution), so the remaining
-///                          speculative siblings were moot;
-///   * kDeadDrop          — a queue entry discarded at acquire time because
-///                          an ancestor had already finished.  Dead drops
-///                          count entries only: the subtree's committed
-///                          compute was charged when the subtree died.
+/// Why a subtree's committed work was cancelled (DESIGN.md §16): the
+/// parent finished through a pop-time cutoff (kBoundChange: its value
+/// crossed its bound) or through a committed child's value
+/// (kSiblingResolution: the remaining speculative siblings were moot).
+/// The ledger keeps totals only; the cause survives as the kill's
+/// kSpecCancel trace arg (cause + 2), which trace_report's
+/// speculation-waste table splits by.
 enum class WasteCause : std::uint8_t {
   kBoundChange = 0,
   kSiblingResolution = 1,
-  kDeadDrop = 2,
 };
-inline constexpr std::size_t kWasteCauseCount = 3;
-
-/// The ledger's ply axis: engine nodes live at or above the serial cutover
-/// (ply in [0, serial_depth]; nodes below it sit inside units), so bands
-/// are single plies with one tail band.
-inline constexpr std::size_t kWastePlyBands = 4;
-[[nodiscard]] constexpr std::size_t waste_band_of(std::uint32_t ply) noexcept {
-  return ply < kWastePlyBands - 1 ? ply : kWastePlyBands - 1;
-}
 
 /// Wasted-work attribution ledger (DESIGN.md §16): at every subtree kill
-/// the engine charges the killed subtree's committed work — unit counts and
-/// committed compute ns — to the (cause, ply band) cell of the kill, and
-/// charges post-death commits (in-flight work that lands after its subtree
-/// died) to the same cell as they arrive, so every committed unit is
-/// attributed at most once.  `cancels` counts killed subtree roots for the
-/// kill causes and discarded queue entries for kDeadDrop.  compute ns is
-/// exact under the simulator's virtual clock and under tracing (it reuses
-/// the per-unit span measurement); untraced thread runs report 0 ns and
-/// exact unit counts.
+/// the engine charges the killed subtree's committed work — unit count and
+/// committed compute ns — and charges post-death commits (in-flight work
+/// that lands after its subtree died) as they arrive, so every committed
+/// unit is attributed at most once, to its nearest cancelled ancestor.
+/// `cancels` counts killed subtree roots plus the queue entries dropped at
+/// acquire time because an ancestor had already finished (those never ran,
+/// so they add no units or ns).  compute ns is exact under the simulator's
+/// virtual clock and under tracing (it reuses the per-unit span
+/// measurement); untraced thread runs report 0 ns and exact unit counts.
 struct EngineWasteStats {
-  std::uint64_t cancels[kWasteCauseCount][kWastePlyBands] = {};
-  std::uint64_t units[kWasteCauseCount][kWastePlyBands] = {};
-  std::uint64_t compute_ns[kWasteCauseCount][kWastePlyBands] = {};
+  std::uint64_t cancels = 0;
+  std::uint64_t units = 0;
+  std::uint64_t compute_ns = 0;
 
-  [[nodiscard]] std::uint64_t cause_cancels(WasteCause c) const noexcept {
-    return row_total(cancels[static_cast<std::size_t>(c)]);
-  }
-  [[nodiscard]] std::uint64_t cause_units(WasteCause c) const noexcept {
-    return row_total(units[static_cast<std::size_t>(c)]);
-  }
-  [[nodiscard]] std::uint64_t cause_ns(WasteCause c) const noexcept {
-    return row_total(compute_ns[static_cast<std::size_t>(c)]);
-  }
-  [[nodiscard]] std::uint64_t total_cancels() const noexcept {
-    return grid_total(cancels);
-  }
-  [[nodiscard]] std::uint64_t total_units() const noexcept {
-    return grid_total(units);
-  }
-  [[nodiscard]] std::uint64_t total_ns() const noexcept {
-    return grid_total(compute_ns);
-  }
+  [[nodiscard]] std::uint64_t total_cancels() const noexcept { return cancels; }
+  [[nodiscard]] std::uint64_t total_units() const noexcept { return units; }
+  [[nodiscard]] std::uint64_t total_ns() const noexcept { return compute_ns; }
 
   EngineWasteStats& operator+=(const EngineWasteStats& o) noexcept {
-    for (std::size_t c = 0; c < kWasteCauseCount; ++c)
-      for (std::size_t b = 0; b < kWastePlyBands; ++b) {
-        cancels[c][b] += o.cancels[c][b];
-        units[c][b] += o.units[c][b];
-        compute_ns[c][b] += o.compute_ns[c][b];
-      }
+    cancels += o.cancels;
+    units += o.units;
+    compute_ns += o.compute_ns;
     return *this;
   }
-
- private:
-  [[nodiscard]] static std::uint64_t row_total(
-      const std::uint64_t (&row)[kWastePlyBands]) noexcept {
-    std::uint64_t n = 0;
-    for (const std::uint64_t v : row) n += v;
-    return n;
-  }
-  [[nodiscard]] static std::uint64_t grid_total(
-      const std::uint64_t (&g)[kWasteCauseCount][kWastePlyBands]) noexcept {
-    std::uint64_t n = 0;
-    for (const auto& row : g) n += row_total(row);
-    return n;
-  }
 };
-
-/// Stable ledger name of a cause (metric keys and the trace report).
-[[nodiscard]] constexpr const char* waste_cause_name(WasteCause c) noexcept {
-  switch (c) {
-    case WasteCause::kBoundChange: return "bound_change";
-    case WasteCause::kSiblingResolution: return "sibling_resolution";
-    case WasteCause::kDeadDrop: return "dead_drop";
-  }
-  return "unknown";
-}
 
 /// What a worker should do with an acquired node.  Nodes at or below the
 /// serial-depth cutover become serial work units whose semantics depend on

@@ -24,8 +24,8 @@ SerialBaseline run_serial_baselines(const ExperimentTree& tree,
         out.er = er.stats;
       },
       tree.game);
-  out.alpha_beta_cost = cost.serial_cost(out.alpha_beta);
-  out.er_cost = cost.serial_cost(out.er);
+  out.alpha_beta_cost = cost.of(out.alpha_beta);
+  out.er_cost = cost.of(out.er);
   return out;
 }
 

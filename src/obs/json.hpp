@@ -1,9 +1,9 @@
 #pragma once
 // The one JSON emitter of the repo (DESIGN.md §11).
 //
-// Everything that writes JSON — the BENCH_*.json bench summaries, the
-// MetricsRegistry snapshots, the Perfetto trace writer — goes through the
-// helpers here, so escaping and number formatting are decided exactly once.
+// Everything that writes JSON — the BENCH_*.json bench summaries and the
+// Perfetto trace writer — goes through the helpers here, so escaping and
+// number formatting are decided exactly once.
 // Formerly these lived in bench/common.hpp; bench code keeps its spelling
 // via using-declarations, and the emitted bytes are unchanged (covered by
 // tests/obs/json_test.cpp).
@@ -71,10 +71,14 @@ class JsonObject {
   JsonObject& field(const char* key, int v) {
     return raw(key, std::to_string(v));
   }
-  /// Append `json` verbatim as the value of `key`.
+  /// Append `json` verbatim as the value of `key`.  Appended in place, for
+  /// the same -Wrestrict reason as field(const char*).
   JsonObject& raw(const char* key, const std::string& json) {
-    if (!body_.empty()) body_ += ",";
-    body_ += "\"" + std::string(key) + "\":" + json;
+    if (!body_.empty()) body_.push_back(',');
+    body_.push_back('"');
+    body_.append(key);
+    body_.append("\":");
+    body_.append(json);
     return *this;
   }
   [[nodiscard]] std::string str() const { return "{" + body_ + "}"; }

@@ -1,9 +1,9 @@
 #pragma once
 // Minimal recursive-descent JSON reader for the repo's own artifacts
 // (DESIGN.md §11): trace_report loads Perfetto trace files written by
-// trace_writer.hpp, and tests round-trip MetricsRegistry snapshots.  It
-// parses the full JSON grammar but is tuned for what we emit — numbers keep
-// their source token so microsecond timestamps with nanosecond fractions
+// trace_writer.hpp, and tests round-trip JsonObject output.  It parses
+// the full JSON grammar but is tuned for what we emit — numbers keep their
+// source token so microsecond timestamps with nanosecond fractions
 // ("12.345") convert back to integer ns without a float round trip.
 //
 // Deliberately tolerant: unknown keys are kept, not rejected; consumers

@@ -33,7 +33,7 @@
 namespace ers::obs {
 
 /// event_name's inverse; false when `name` is no trace event (metadata
-/// rows and foreign events in a merged file are skipped, not errors).
+/// rows and foreign events are skipped, not errors).
 [[nodiscard]] inline bool kind_from_name(const std::string& name,
                                          EventKind& out) noexcept {
   for (std::size_t k = 0; k < kEventKindCount; ++k) {
@@ -47,15 +47,13 @@ namespace ers::obs {
 }
 
 /// Re-read a Perfetto trace (the trace_writer format) into TraceEvents.
-/// Only events whose name maps onto the schema are kept; `pid` selects one
-/// session of a multi-session file (-1 = first session seen).
+/// Only events whose name maps onto the schema are kept.
 inline bool parse_perfetto(const std::string& json,
-                           std::vector<TraceEvent>& out, int pid = -1) {
+                           std::vector<TraceEvent>& out) {
   JsonValue root;
   if (!parse_json(json, root)) return false;
   const JsonValue* events = root.find("traceEvents");
   if (events == nullptr || !events->is_array()) return false;
-  int selected = pid;
   for (const JsonValue& e : events->items) {
     if (!e.is_object()) continue;
     const JsonValue* name = e.find("name");
@@ -66,11 +64,6 @@ inline bool parse_perfetto(const std::string& json,
       continue;
     EventKind kind{};
     if (!kind_from_name(name->text, kind)) continue;  // metadata etc.
-    if (const JsonValue* p = e.find("pid"); p != nullptr) {
-      const int event_pid = static_cast<int>(p->as_uint64());
-      if (selected == -1) selected = event_pid;
-      if (event_pid != selected) continue;
-    }
     TraceEvent ev;
     ev.kind = kind;
     ev.ts = us_token_to_ns(ts->text);
@@ -92,10 +85,10 @@ inline bool parse_perfetto(const std::string& json,
 }
 
 inline bool load_trace_file(const std::string& path,
-                            std::vector<TraceEvent>& out, int pid = -1) {
+                            std::vector<TraceEvent>& out) {
   std::string text;
   if (!read_file(path, text)) return false;
-  return parse_perfetto(text, out, pid);
+  return parse_perfetto(text, out);
 }
 
 /// Aggregated view of one worker's track.

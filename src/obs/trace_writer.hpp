@@ -9,27 +9,28 @@
 // event carries the required keys ph, ts, pid, tid, name; the engine-node /
 // arg payload travels in "args".
 //
-// Each exported session is one Perfetto *process*: per-worker tracks are
-// that process's threads (tid = worker id), the engine tracer gets its own
-// "engine (serialized)" track.  write_perfetto_multi puts several sessions
-// into one file under distinct pids — that is how a simulated run and a
-// real run of the same tree are diffed side by side in one viewer.
+// A file holds one session as one Perfetto *process* (pid 1): per-worker
+// tracks are that process's threads (tid = worker id), the engine tracer
+// gets its own "engine (serialized)" track.
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "obs/json.hpp"
 #include "obs/trace.hpp"
 
 namespace ers::obs {
 
-/// One session's events as trace-event JSON objects (no enclosing array).
-inline void append_trace_events(std::string& out, const TraceSession& session,
-                                int pid, const std::string& process_name) {
-  auto add = [&out](const std::string& line) {
-    if (!out.empty()) out += ",\n";
+/// The session as one trace file, every event under pid 1.
+[[nodiscard]] inline std::string perfetto_json(
+    const TraceSession& session, const std::string& process_name = "search") {
+  constexpr int pid = 1;
+  std::string out = "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n";
+  const std::size_t head = out.size();
+  auto add = [&out, head](const std::string& line) {
+    if (out.size() > head) out += ",\n";
     out += line;
   };
   // Metadata: process and thread names, so tracks are self-describing.
@@ -84,29 +85,8 @@ inline void append_trace_events(std::string& out, const TraceSession& session,
     o.raw("args", args.str());
     add(o.str());
   }
-}
-
-struct NamedSession {
-  const TraceSession* session;
-  std::string name;
-};
-
-/// Several sessions in one trace file, one Perfetto process per session.
-[[nodiscard]] inline std::string perfetto_json_multi(
-    const std::vector<NamedSession>& sessions) {
-  std::string events;
-  int pid = 1;
-  for (const NamedSession& s : sessions)
-    append_trace_events(events, *s.session, pid++, s.name);
-  std::string out = "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n";
-  out += events;
   out += "\n]}\n";
   return out;
-}
-
-[[nodiscard]] inline std::string perfetto_json(
-    const TraceSession& session, const std::string& process_name = "search") {
-  return perfetto_json_multi({{&session, process_name}});
 }
 
 /// Write the trace to `path`; returns false (with a note on stderr) if the
@@ -126,20 +106,6 @@ inline bool write_perfetto(const std::string& path,
   std::printf("wrote %s (%llu events, %llu dropped)\n", path.c_str(),
               static_cast<unsigned long long>(session.merged().size()),
               static_cast<unsigned long long>(session.total_dropped()));
-  return true;
-}
-
-inline bool write_perfetto_multi(const std::string& path,
-                                 const std::vector<NamedSession>& sessions) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write trace %s\n", path.c_str());
-    return false;
-  }
-  const std::string json = perfetto_json_multi(sessions);
-  std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  std::printf("wrote %s (%zu sessions)\n", path.c_str(), sessions.size());
   return true;
 }
 

@@ -86,21 +86,16 @@ struct ThreadRunReport {
   /// Node-storage occupancy at the end of the run: node count and the
   /// arena and cold-record bytes (DESIGN.md §15).
   core::EngineMemStats mem;
-  /// Wasted-work attribution ledger.  Unit counts are always exact;
-  /// compute_ns is populated only on traced runs — untraced thread workers
-  /// never read the clock, so they stamp 0 ns per unit (DESIGN.md §16).
-  core::EngineWasteStats waste;
 
-  /// Fold another run of the same call into this report: counters and the
-  /// waste ledger add up, and mem keeps the larger run's snapshot (peak
-  /// memory is a maximum, not a sum).  elapsed_ns is left to the caller,
-  /// which alone knows the span that covers both runs.
+  /// Fold another run of the same call into this report: counters add up,
+  /// and mem keeps the larger run's snapshot (peak memory is a maximum,
+  /// not a sum).  elapsed_ns is left to the caller, which alone knows the
+  /// span that covers both runs.
   void merge(const ThreadRunReport& o) {
     units += o.units;
     threads = o.threads;
     sched.merge(o.sched);
     if (o.mem.peak_bytes > mem.peak_bytes) mem = o.mem;
-    waste += o.waste;
   }
 
   /// Fraction of total worker-time spent blocked on the heap lock.
@@ -108,12 +103,6 @@ struct ThreadRunReport {
     const double total = static_cast<double>(elapsed_ns) *
                          static_cast<double>(threads);
     return total > 0 ? static_cast<double>(sched.lock_wait_ns) / total : 0.0;
-  }
-  /// Fraction of total worker-time spent *inside* engine lock sections.
-  [[nodiscard]] double lock_hold_share() const noexcept {
-    const double total = static_cast<double>(elapsed_ns) *
-                         static_cast<double>(threads);
-    return total > 0 ? static_cast<double>(sched.lock_hold_ns) / total : 0.0;
   }
 };
 
@@ -296,7 +285,6 @@ class ThreadExecutor {
     report.sched.lock_wait_ns += ls.wait_ns;
     report.sched.lock_hold_ns += ls.hold_ns;
     report.mem = engine.mem_stats();
-    report.waste = engine.waste_stats();
     return report;
   }
 

@@ -27,16 +27,12 @@ struct CostModel {
   std::uint64_t per_heap_acquire = 1;
   std::uint64_t per_heap_commit = 1;
 
-  /// Cost of the computation a unit performed, from its work counters.
+  /// Cost of the computation a unit performed, from its work counters.  A
+  /// whole serial search costs the same way: of() on its totals is the
+  /// numerator of the efficiency/speedup computations.
   [[nodiscard]] std::uint64_t of(const SearchStats& s) const noexcept {
     return per_unit_base + per_interior * s.interior_expanded +
            per_leaf * s.leaves_evaluated + per_sort_eval * s.sort_evals;
-  }
-
-  /// Cost of an entire serial search with the same accounting — the
-  /// numerator of the efficiency/speedup computations.
-  [[nodiscard]] std::uint64_t serial_cost(const SearchStats& s) const noexcept {
-    return of(s);
   }
 };
 

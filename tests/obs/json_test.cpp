@@ -1,5 +1,5 @@
-// The consolidated JSON emitter (obs/json.hpp), the metrics registry, and
-// the adapters that flatten the runtime/sim/engine stats structs.  The
+// The consolidated JSON emitter (obs/json.hpp), its reader
+// (obs/json_read.hpp), and the runtime report folds the benches print.  The
 // emitter tests pin the exact bytes the benches used to produce from their
 // hand-rolled copies in bench/common.hpp, so the dedupe is provably
 // byte-compatible.
@@ -13,8 +13,7 @@
 #include <string>
 
 #include "obs/json_read.hpp"
-#include "obs/metrics.hpp"
-#include "obs/metrics_adapters.hpp"
+#include "runtime/thread_executor.hpp"
 
 namespace ers::obs {
 namespace {
@@ -61,71 +60,32 @@ TEST(WriteBenchJson, StampsEveryLineAndSplicesAfterBrace) {
             "{\"bench\":\"json_test\",\"reps\":2}\n");
 }
 
-TEST(MetricsRegistry, SetOverwritesInPlaceKeepingOrder) {
-  MetricsRegistry reg;
-  reg.set("bench", "spec_policy");
-  reg.set("units", std::uint64_t{10});
-  reg.set("speedup", 2.5);
-  reg.set("units", std::uint64_t{20});  // overwrite, not append
-  ASSERT_EQ(reg.size(), 3u);
-  EXPECT_EQ(reg.counter("units"), 20u);
-  EXPECT_EQ(reg.gauge("speedup"), 2.5);
-  EXPECT_TRUE(reg.has("bench"));
-  EXPECT_FALSE(reg.has("missing"));
-  EXPECT_EQ(reg.to_json(),
-            "{\"bench\":\"spec_policy\",\"units\":20,\"speedup\":2.5}");
-}
-
-TEST(MetricsRegistry, AddAccumulatesFromZero) {
-  MetricsRegistry reg;
-  reg.add("tt.probes", 5);
-  reg.add("tt.probes", 7);
-  EXPECT_EQ(reg.counter("tt.probes"), 12u);
-}
-
-TEST(MetricsRegistry, NegativeIntRoundTripsSigned) {
-  // Regression: set(int) used to cast straight to uint64, so -3 serialized
-  // as 18446744073709551613.  Negative ints now store as a signed entry and
-  // survive the JSON round trip.
-  MetricsRegistry reg;
-  reg.set("frontier", -3);
-  reg.set("shards", 4);
-  EXPECT_EQ(reg.to_json(), "{\"frontier\":-3,\"shards\":4}");
+TEST(JsonObject, NegativeIntRoundTripsSigned) {
+  // Root values are signed: field(int) must emit -3, not the uint64 wrap
+  // 18446744073709551613, and the reader must get -3 back.
+  const std::string s = JsonObject().field("value", -3).field("procs", 4).str();
+  EXPECT_EQ(s, "{\"value\":-3,\"procs\":4}");
   JsonValue v;
-  ASSERT_TRUE(parse_json(reg.to_json(), v));
-  EXPECT_EQ(static_cast<std::int64_t>(v.find("frontier")->as_double()), -3);
-  EXPECT_EQ(v.find("shards")->as_uint64(), 4u);
+  ASSERT_TRUE(parse_json(s, v));
+  EXPECT_EQ(static_cast<std::int64_t>(v.find("value")->as_double()), -3);
+  EXPECT_EQ(v.find("procs")->as_uint64(), 4u);
 }
 
-TEST(MetricsRegistry, SnapshotRoundTripsThroughTheReader) {
-  MetricsRegistry reg;
-  reg.set("tree", "O1 \"deep\"");
-  reg.set("units", std::uint64_t{42});
-  reg.set("efficiency", 0.875);
+TEST(JsonObject, RoundTripsThroughTheReader) {
+  const std::string s = JsonObject()
+                            .field("tree", "O1 \"deep\"")
+                            .field("units", std::uint64_t{42})
+                            .field("efficiency", 0.875)
+                            .str();
   JsonValue v;
-  ASSERT_TRUE(parse_json(reg.to_json(), v));
+  ASSERT_TRUE(parse_json(s, v));
   ASSERT_TRUE(v.is_object());
   EXPECT_EQ(v.find("tree")->text, "O1 \"deep\"");
   EXPECT_EQ(v.find("units")->as_uint64(), 42u);
   EXPECT_DOUBLE_EQ(v.find("efficiency")->as_double(), 0.875);
 }
 
-// --- adapters --------------------------------------------------------------
-
-TEST(MetricsAdapters, SchedulerStatsFlattensUnderPrefix) {
-  runtime::SchedulerStats s;
-  s.lock_acquisitions = 9;
-  s.lock_wait_ns = 100;
-  s.units = 12;
-  s.wakeups_issued = 2;
-  s.sleeps = 3;
-  MetricsRegistry reg;
-  register_scheduler_stats(reg, s);
-  EXPECT_EQ(reg.counter("sched.lock_acquisitions"), 9u);
-  EXPECT_EQ(reg.counter("sched.units"), 12u);
-  EXPECT_EQ(reg.counter("sched.wakeups_issued"), 2u);
-  EXPECT_EQ(reg.counter("sched.sleeps"), 3u);
-}
+// --- runtime report folds --------------------------------------------------
 
 TEST(SchedulerStats, MergeFoldsEveryField) {
   runtime::SchedulerStats a, b;
@@ -151,32 +111,14 @@ TEST(SchedulerStats, MergeFoldsEveryField) {
   EXPECT_EQ(a.wakeups_issued, 1u);
 }
 
-TEST(MetricsAdapters, ThreadReportIncludesNestedScheduler) {
+TEST(ThreadRunReport, LockWaitShareIsOverWorkerTime) {
   runtime::ThreadRunReport r;
   r.threads = 4;
-  r.units = 99;
   r.elapsed_ns = 1000;
   r.sched.lock_wait_ns = 400;
-  MetricsRegistry reg;
-  register_thread_report(reg, r);
-  EXPECT_EQ(reg.counter("run.threads"), 4u);
-  EXPECT_EQ(reg.counter("run.units"), 99u);
-  // lock_wait_share = 400 / (1000 * 4)
-  EXPECT_DOUBLE_EQ(reg.gauge("run.lock_wait_share"), 0.1);
-  EXPECT_EQ(reg.counter("sched.lock_wait_ns"), 400u);
-}
-
-TEST(MetricsAdapters, SimMetricsFlattensUnderPrefix) {
-  sim::SimMetrics m;
-  m.processors = 8;
-  m.makespan = 100;
-  m.busy_time = 400;
-  m.heap_accesses = 42;
-  MetricsRegistry reg;
-  register_sim_metrics(reg, m);
-  EXPECT_EQ(reg.counter("sim.processors"), 8u);
-  EXPECT_EQ(reg.counter("sim.heap_accesses"), 42u);
-  EXPECT_DOUBLE_EQ(reg.gauge("sim.utilization"), 0.5);
+  // 400 ns blocked over 4 workers x 1000 ns.
+  EXPECT_DOUBLE_EQ(r.lock_wait_share(), 0.1);
+  EXPECT_DOUBLE_EQ(runtime::ThreadRunReport{}.lock_wait_share(), 0.0);
 }
 
 // --- the reader itself -----------------------------------------------------

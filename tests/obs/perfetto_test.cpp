@@ -88,22 +88,6 @@ TEST(PerfettoWriter, ParseRoundTripsToTheMergedStream) {
     EXPECT_EQ(back[k], expect[k]) << "event " << k;
 }
 
-TEST(PerfettoWriter, MultiSessionSelectsByPid) {
-  if (!kTracingEnabled) GTEST_SKIP() << "tracing compiled out";
-  const TraceSession a = make_session();
-  TraceSession b(1, 16);
-  b.worker(0).span(EventKind::kComputeSpan, 10, 20, 5);
-  const std::string json =
-      perfetto_json_multi({{&a, "threads"}, {&b, "simulated"}});
-  std::vector<TraceEvent> first, second, def;
-  ASSERT_TRUE(parse_perfetto(json, first, 1));
-  ASSERT_TRUE(parse_perfetto(json, second, 2));
-  ASSERT_TRUE(parse_perfetto(json, def));  // -1 = first session seen
-  EXPECT_EQ(first, a.merged());
-  EXPECT_EQ(second, b.merged());
-  EXPECT_EQ(def, first);
-}
-
 TEST(PerfettoWriter, WriteAndLoadFileRoundTrip) {
   if (!kTracingEnabled) GTEST_SKIP() << "tracing compiled out";
   const TraceSession s = make_session();
