@@ -36,8 +36,7 @@ Row run_all(const G& game, const harness::ExperimentTree& tree,
   Row row;
 
   if (trace != nullptr) trace->clear();  // keep the last ER point only
-  const auto er =
-      harness::run_parallel_point(tree, p, serial, {}, nullptr, trace);
+  const auto er = harness::run_parallel_point(tree, p, serial, trace);
   row.er = er.speedup;
 
   // Windows partition the evaluator's actual output range (Othello's

@@ -247,8 +247,7 @@ int main(int argc, char** argv) {
       tree.engine.serial_depth = sd;
       const int p = 16;
       if (trace != nullptr) trace->clear();  // keep the last point only
-      const auto pt =
-          harness::run_parallel_point(tree, p, serial, {}, nullptr, trace);
+      const auto pt = harness::run_parallel_point(tree, p, serial, trace);
       const double total = static_cast<double>(pt.metrics.makespan) * p;
       table.add_row({tree.name, std::to_string(sd), std::to_string(p),
                      std::to_string(pt.metrics.units),

@@ -38,6 +38,7 @@ struct FigureOptions {
 inline FigureOptions parse_options(int argc, char** argv,
                                    std::vector<std::string> default_trees) {
   const CliArgs args(argc, argv);
+  args.reject_unknown({"scale", "reps", "trace", "json-out", "trees"});
   FigureOptions opt;
   opt.scale = static_cast<int>(args.get_int("scale", 0));
   opt.reps = static_cast<int>(args.get_int("reps", 5));
@@ -58,12 +59,11 @@ inline FigureOptions parse_options(int argc, char** argv,
 }
 
 /// The trace session a bench should record into: null unless --trace was
-/// given (and tracing is compiled in), so benches stay zero-cost when
-/// untraced.  The returned pointer aliases `storage`.
+/// given, so benches stay zero-cost when untraced.  The returned pointer
+/// aliases `storage`.
 [[nodiscard]] inline obs::TraceSession* trace_session_for(
     const FigureOptions& opt, obs::TraceSession& storage) {
-  if (opt.trace_path.empty() || !obs::kTracingEnabled) return nullptr;
-  return &storage;
+  return opt.trace_path.empty() ? nullptr : &storage;
 }
 
 /// Flush the --trace file after the bench's runs.  A no-op when --trace
@@ -75,9 +75,7 @@ inline void write_observability(const FigureOptions& opt,
   if (trace != nullptr)
     obs::write_perfetto(opt.trace_path, *trace, process_name);
   else
-    std::fprintf(stderr,
-                 "--trace ignored: tracing compiled out (ERS_TRACING=OFF) "
-                 "or this bench runs no executor\n");
+    std::fprintf(stderr, "--trace ignored: this bench runs no executor\n");
 }
 
 /// Run the serial baselines and the full processor sweep for one tree.
@@ -88,7 +86,6 @@ struct TreeSweep {
 };
 
 inline TreeSweep run_sweep(const std::string& name, int scale,
-                           const core::SpeculationConfig* speculation = nullptr,
                            obs::TraceSession* trace = nullptr) {
   TreeSweep s{harness::tree_by_name(name, scale), {}, {}};
   s.serial = harness::run_serial_baselines(s.tree);
@@ -97,8 +94,7 @@ inline TreeSweep run_sweep(const std::string& name, int scale,
     // over, so the exported file holds one clean schedule (the largest P),
     // not a pile-up of every sweep point on one virtual timeline.
     if (trace != nullptr) trace->clear();
-    s.points.push_back(harness::run_parallel_point(s.tree, p, s.serial, {},
-                                                   speculation, trace));
+    s.points.push_back(harness::run_parallel_point(s.tree, p, s.serial, trace));
   }
   return s;
 }

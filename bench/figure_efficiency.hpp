@@ -66,7 +66,7 @@ inline void print_efficiency_figure(const char* title,
                    "serial alpha-beta eff.", "utilization", "idle share",
                    "waste share", "bytes/node"});
   for (const auto& name : opt.tree_names) {
-    const TreeSweep s = run_sweep(name, opt.scale, nullptr, trace);
+    const TreeSweep s = run_sweep(name, opt.scale, trace);
     for (const auto& p : s.points) {
       const double cap =
           static_cast<double>(p.metrics.makespan) * p.processors;
@@ -108,7 +108,7 @@ inline void print_nodes_figure(const char* title, const FigureOptions& opt) {
   TextTable table({"tree", "procs", "nodes generated", "vs serial ER",
                    "serial ER nodes", "alpha-beta nodes"});
   for (const auto& name : opt.tree_names) {
-    const TreeSweep s = run_sweep(name, opt.scale, nullptr, trace);
+    const TreeSweep s = run_sweep(name, opt.scale, trace);
     const auto er_nodes = s.serial.er.nodes_generated();
     for (const auto& p : s.points) {
       table.add_row({s.tree.name, std::to_string(p.processors),

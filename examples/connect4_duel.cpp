@@ -44,6 +44,7 @@ void print_board(const Connect4::Position& p, bool x_to_move) {
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
+  args.reject_unknown({"depth", "threads"});
   const int depth = static_cast<int>(args.get_int("depth", 8));
   const int threads = static_cast<int>(args.get_int("threads", 4));
 

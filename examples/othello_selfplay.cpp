@@ -38,6 +38,7 @@ int pick_move(const Board& b, int depth, int threads,
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
+  args.reject_unknown({"depth", "threads", "plies", "show-boards"});
   const int depth = static_cast<int>(args.get_int("depth", 5));
   const int threads = static_cast<int>(args.get_int("threads", 4));
   const int max_plies = static_cast<int>(args.get_int("plies", 60));

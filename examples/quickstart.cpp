@@ -17,6 +17,7 @@
 
 int main(int argc, char** argv) {
   const ers::CliArgs args(argc, argv);
+  args.reject_unknown({"tree", "scale", "threads"});
   const std::string name = args.get("tree", "R3");
   const int scale = static_cast<int>(args.get_int("scale", 0));
 

@@ -19,6 +19,7 @@
 int main(int argc, char** argv) {
   using namespace ers;
   const CliArgs args(argc, argv);
+  args.reject_unknown({"degree", "height"});
   const int degree = static_cast<int>(args.get_int("degree", 3));
   const int height = static_cast<int>(args.get_int("height", 4));
 

@@ -53,6 +53,10 @@
 //     reconsider()) decides what new work that node schedules;
 //   * the speculative queue holds e-nodes that may select another e-child;
 //     popping one promotes the node's best unpromoted child.
+//
+// Speculation is §5's three mechanisms, always on as in the paper: parallel
+// refutation (dispatch_refutations), multiple e-children and early e-child
+// choice (spec_eligible).
 
 #include <algorithm>
 #include <array>
@@ -457,13 +461,13 @@ class Engine {
             stderr,
             "node %u parent %d ply %d type %d value %d gen %d fin %d "
             "elder %d d %d e_ch %d partial %d expanded %d inprim %d "
-            "inflight %d first_e %d e_eval %d seqref %d\n",
+            "inflight %d first_e %d e_eval %d\n",
             id, static_cast<int>(n.parent), n.ply, static_cast<int>(n.type),
             static_cast<int>(n.value), n.generated(), n.finished_children(),
             n.elder_done(), child_count(n), n.e_children(),
             n.partial() ? 1 : 0, n.expanded() ? 1 : 0, n.in_primary ? 1 : 0,
             n.in_flight ? 1 : 0, n.first_e_selected() ? 1 : 0,
-            n.e_child_evaluated() ? 1 : 0, static_cast<int>(n.seq_refuting()));
+            n.e_child_evaluated() ? 1 : 0);
       }
     }
     ERS_CHECK(!"problem-heap engine stalled");
@@ -612,10 +616,8 @@ class Engine {
   [[nodiscard]] bool spec_eligible(std::uint32_t id) const {
     const Node& n = nodes_[id];
     if (n.type != NodeType::kENode || n.finished || !n.expanded()) return false;
-    if (!cfg_.speculation.multiple_e_children && n.first_e_selected()) return false;
-    const int d = child_count(n);
-    const int need = cfg_.speculation.early_e_child_choice ? d - 1 : d;
-    if (n.elder_done() < need) return false;
+    // Early e-child choice: all but one elder grandchild evaluated.
+    if (n.elder_done() < child_count(n) - 1) return false;
     return best_promotion_candidate(n) != kNoNode;
   }
 
@@ -844,31 +846,17 @@ class Engine {
       if (child != kNoNode) promote_to_e_child(id, child, /*mandatory=*/true);
     }
     // Table 2 row 3: once an e-child has been fully evaluated, refute the
-    // remaining (undecided) children — all at once under parallel
-    // refutation, one at a time otherwise.
-    if (c->e_child_evaluated) {
-      if (cfg_.speculation.parallel_refutation) {
-        if (!c->refutation_dispatched) {
-          c->refutation_dispatched = true;
-          dispatch_refutations(id, /*all=*/true);
-        }
-      } else {
-        dispatch_refutations(id, /*all=*/false);
-      }
+    // remaining (undecided) children, all at once (parallel refutation).
+    if (c->e_child_evaluated && !c->refutation_dispatched) {
+      c->refutation_dispatched = true;
+      dispatch_refutations(id);
     }
     // Table 2 rows 1/4: speculative queue eligibility.
     if (spec_eligible(id)) push_spec(id);
   }
 
-  void dispatch_refutations(std::uint32_t id, bool all) {
-    Node& n = nodes_[id];
-    ColdRecord* rec = checked_cold(n);  // only expanded e-nodes dispatch
-    if (!all) {
-      // Sequential refutation: only one child under refutation at a time.
-      if (rec->seq_refuting != kNoNode && !nodes_[rec->seq_refuting].finished)
-        return;
-      rec->seq_refuting = kNoNode;
-    }
+  void dispatch_refutations(std::uint32_t id) {
+    const ColdRecord* rec = checked_cold(nodes_[id]);  // only expanded e-nodes
     // Re-type in ascending tentative-value order (serial ER's refutation
     // order after its sort).  Reused scratch (dispatch never re-enters
     // itself): no per-dispatch allocation at steady state.
@@ -879,26 +867,15 @@ class Engine {
       const Node& cn = nodes_[c];
       if (!cn.finished && cn.type == NodeType::kUndecided) undecided.push_back(c);
     }
-    if (undecided.empty()) return;
     std::stable_sort(undecided.begin(), undecided.end(),
                      [this](std::uint32_t a, std::uint32_t b) {
                        return nodes_[a].value < nodes_[b].value;
                      });
-    if (!all) {
-      // Sequential refutation: take only the most promising candidate.
-      Node& cn = nodes_[undecided.front()];
-      cn.type = NodeType::kRNode;
-      ++stats_.refutations_dispatched;
-      if (!cn.in_primary && !cn.in_flight) push_primary(undecided.front());
-      rec->seq_refuting = undecided.front();
-      return;
-    }
-    // Parallel refutation: dispatch every candidate.  Push in reverse of
-    // the tentative order so LIFO pops refute the most promising first.
+    // Dispatch every candidate.  Push in reverse of the tentative order so
+    // LIFO pops refute the most promising first.
     for (auto it = undecided.rbegin(); it != undecided.rend(); ++it) {
       Node& cn = nodes_[*it];
       cn.type = NodeType::kRNode;
-      ++stats_.refutations_dispatched;
       // A child that is queued or running continues its current flow; a
       // dormant one needs a fresh pop to make progress.
       if (!cn.in_primary && !cn.in_flight) push_primary(*it);
@@ -908,16 +885,11 @@ class Engine {
   // --- tracing & timing hooks ----------------------------------------------
 
   /// Engine-side trace hook (the session's engine tracer, written under
-  /// mu_, so by one thread at a time); a no-op without a session and
-  /// compiled out entirely when tracing is disabled.  The single-threaded
-  /// simulator re-points the engine tracer to its current virtual worker
-  /// before driving the engine.
+  /// mu_, so by one thread at a time); a no-op without a session.  The
+  /// single-threaded simulator re-points the engine tracer to its current
+  /// virtual worker before driving the engine.
   void trace_instant(obs::EventKind kind, std::uint32_t node,
                      std::uint32_t arg) {
-    if constexpr (!obs::kTracingEnabled) {
-      (void)kind; (void)node; (void)arg;
-      return;
-    }
     if (cfg_.trace == nullptr) return;
     cfg_.trace->engine_tracer().instant(kind, cfg_.trace->now_ns(), node,
                                         arg);
@@ -926,10 +898,6 @@ class Engine {
   /// kUnitCommit with the executor-measured compute duration in `dur`
   /// (trace-side waste reconciliation sums these; see commit_one).
   void trace_commit(std::uint32_t node, std::uint32_t arg, std::uint64_t dur) {
-    if constexpr (!obs::kTracingEnabled) {
-      (void)node; (void)arg; (void)dur;
-      return;
-    }
     if (cfg_.trace == nullptr) return;
     cfg_.trace->engine_tracer().record(obs::EventKind::kUnitCommit,
                                        cfg_.trace->now_ns(), dur, node, arg);
@@ -952,10 +920,6 @@ class Engine {
   /// corrupt its virtual timeline.
   void trace_lock_section(Clock::time_point t0, Clock::time_point t1,
                           Clock::time_point t2) {
-    if constexpr (!obs::kTracingEnabled) {
-      (void)t0; (void)t1; (void)t2;
-      return;
-    }
     if (cfg_.trace == nullptr || cfg_.trace->virtual_clock()) return;
     obs::Tracer* t = obs::TraceSession::thread_tracer();
     if (t == nullptr) return;
@@ -1000,7 +964,6 @@ class Engine {
     std::int32_t finished_children = 0;
     std::int32_t elder_done = 0;  ///< children with tentative value / finished
     std::int32_t e_children = 0;  ///< children promoted to e-node
-    std::uint32_t seq_refuting = kNoNode;  ///< sequential-refutation cursor
   };
 
   /// Hot per-node record: at most one cache line.  Everything the
@@ -1064,9 +1027,6 @@ class Engine {
     }
     [[nodiscard]] std::int32_t e_children() const noexcept {
       return cold != nullptr ? cold->e_children : 0;
-    }
-    [[nodiscard]] std::uint32_t seq_refuting() const noexcept {
-      return cold != nullptr ? cold->seq_refuting : kNoNode;
     }
     /// A finish clears spec membership on any node, expanded or not.
     void set_on_spec(bool v) noexcept {

@@ -23,20 +23,6 @@ enum class NodeType : std::uint8_t {
   kUndecided,  ///< first child (elder grandchild) evaluated; role pending
 };
 
-/// The three speculation mechanisms of §5, individually toggleable for the
-/// ablation benches.  The paper's implementation enables all three.
-struct SpeculationConfig {
-  /// After the e-child of E is evaluated, refute E's remaining children in
-  /// parallel (all dispatched at once) rather than one at a time.
-  bool parallel_refutation = true;
-  /// Keep selecting additional e-children from the speculative queue while
-  /// the first is still being evaluated.
-  bool multiple_e_children = true;
-  /// Allow e-child selection once all but one elder grandchild is evaluated
-  /// (paper §6: "as soon as all but one ... have been evaluated").
-  bool early_e_child_choice = true;
-};
-
 /// The serial search below the root of every unit (DESIGN.md §18).  Above
 /// the serial-depth cutover the engine runs ER either way, and each unit
 /// keeps Figure 8's protocol at its root (WorkKind).
@@ -72,7 +58,6 @@ struct EngineConfig {
   int serial_depth = 2;
   /// Move ordering applied to non-e-node children (paper §7).
   OrderingPolicy ordering;
-  SpeculationConfig speculation;
   /// The search below the root of every serial unit.  Alpha-beta by
   /// default; harness/tree_registry.cpp pins kSerialEr for the Table 3
   /// trees, the only reason that kernel stays.
@@ -93,7 +78,6 @@ struct EngineStats {
   std::uint64_t serial_units = 0;           ///< units resolved below the cutover
   std::uint64_t promotions_mandatory = 0;   ///< first e-child selections
   std::uint64_t promotions_speculative = 0; ///< extra e-children (spec queue)
-  std::uint64_t refutations_dispatched = 0; ///< children re-typed r-node
   std::uint64_t cutoffs_at_pop = 0;         ///< units cancelled before compute
   std::uint64_t dead_items_dropped = 0;     ///< queue entries under finished ancestors
 
@@ -103,7 +87,6 @@ struct EngineStats {
     serial_units += o.serial_units;
     promotions_mandatory += o.promotions_mandatory;
     promotions_speculative += o.promotions_speculative;
-    refutations_dispatched += o.refutations_dispatched;
     cutoffs_at_pop += o.cutoffs_at_pop;
     dead_items_dropped += o.dead_items_dropped;
     return *this;

@@ -5,12 +5,13 @@
 #include "core/parallel_er.hpp"
 #include "search/alpha_beta.hpp"
 #include "search/er_serial.hpp"
+#include "sim/cost_model.hpp"
 #include "util/check.hpp"
 
 namespace ers::harness {
 
-SerialBaseline run_serial_baselines(const ExperimentTree& tree,
-                                    const sim::CostModel& cost) {
+SerialBaseline run_serial_baselines(const ExperimentTree& tree) {
+  const sim::CostModel cost;
   SerialBaseline out;
   std::visit(
       [&](const auto& game) {
@@ -31,17 +32,13 @@ SerialBaseline run_serial_baselines(const ExperimentTree& tree,
 
 ParallelPoint run_parallel_point(const ExperimentTree& tree, int processors,
                                  const SerialBaseline& serial,
-                                 const sim::CostModel& cost,
-                                 const core::SpeculationConfig* speculation,
                                  obs::TraceSession* trace) {
-  core::EngineConfig cfg = tree.engine;
-  if (speculation != nullptr) cfg.speculation = *speculation;
-
   ParallelPoint p;
   p.processors = processors;
   std::visit(
       [&](const auto& game) {
-        const auto r = parallel_er_sim(game, cfg, processors, cost, trace);
+        const auto r =
+            parallel_er_sim(game, tree.engine, processors, {}, trace);
         p.value = r.value;
         p.engine = r.engine;
         p.metrics = r.metrics;

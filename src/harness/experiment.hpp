@@ -10,7 +10,6 @@
 #include "gametree/game.hpp"
 #include "harness/tree_registry.hpp"
 #include "obs/trace.hpp"
-#include "sim/cost_model.hpp"
 #include "sim/executor.hpp"
 
 namespace ers::harness {
@@ -49,17 +48,15 @@ struct ParallelPoint {
   core::EngineWasteStats waste;
 };
 
-[[nodiscard]] SerialBaseline run_serial_baselines(const ExperimentTree& tree,
-                                                  const sim::CostModel& cost = {});
+/// Serial alpha-beta and serial ER on the tree, priced by the default
+/// sim::CostModel.
+[[nodiscard]] SerialBaseline run_serial_baselines(const ExperimentTree& tree);
 
-/// One simulated parallel-ER run.  `speculation` overrides the engine
-/// config's speculation settings (for the ablation bench).  `trace`
+/// One simulated parallel-ER run under the default sim::CostModel.  `trace`
 /// (optional) records the simulated schedule into the session on its
 /// virtual clock (obs/trace_writer.hpp exports it for Perfetto).
 [[nodiscard]] ParallelPoint run_parallel_point(
     const ExperimentTree& tree, int processors, const SerialBaseline& serial,
-    const sim::CostModel& cost = {},
-    const core::SpeculationConfig* speculation = nullptr,
     obs::TraceSession* trace = nullptr);
 
 /// Serial-ER node count on this tree — the P-agnostic reference of Figures

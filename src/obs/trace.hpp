@@ -21,12 +21,6 @@
 // (one simulated cost unit = 1 "ns"), so a simulated and a real run of the
 // same tree emit the *same* event schema and open side by side in one
 // Perfetto viewer (trace_writer.hpp).
-//
-// Compile-time kill switch: configuring with -DERS_TRACING=OFF defines
-// ERS_TRACING_DISABLED, which turns every record call into an empty inline
-// and allocates no buffers — the executors' hot paths keep only a constant
-// branch on a pointer that the optimizer removes (kTracingEnabled is
-// constexpr false).
 
 #include <algorithm>
 #include <cstdint>
@@ -39,12 +33,6 @@
 #include "util/check.hpp"
 
 namespace ers::obs {
-
-#if defined(ERS_TRACING_DISABLED)
-inline constexpr bool kTracingEnabled = false;
-#else
-inline constexpr bool kTracingEnabled = true;
-#endif
 
 /// Sentinel for events not tied to an engine node.
 inline constexpr std::uint32_t kNoTraceNode = 0xffffffffu;
@@ -114,9 +102,9 @@ struct TraceEvent {
 /// keeps the existing prefix.
 class Tracer {
  public:
-  Tracer(std::uint16_t worker, std::size_t capacity) : worker_(worker) {
-    if constexpr (kTracingEnabled) buf_.reserve(capacity);
-    capacity_ = kTracingEnabled ? capacity : 0;
+  Tracer(std::uint16_t worker, std::size_t capacity)
+      : capacity_(capacity), worker_(worker) {
+    buf_.reserve(capacity);
   }
 
   /// The engine's tracer is written by whichever worker holds the engine
@@ -127,10 +115,6 @@ class Tracer {
   void record(EventKind kind, std::uint64_t ts, std::uint64_t dur,
               std::uint32_t node = kNoTraceNode,
               std::uint32_t arg = 0) noexcept {
-    if constexpr (!kTracingEnabled) {
-      (void)kind; (void)ts; (void)dur; (void)node; (void)arg;
-      return;
-    }
     if (buf_.size() >= capacity_) {
       ++dropped_;
       return;
@@ -223,12 +207,9 @@ class TraceSession {
   /// default, and always for the single-threaded simulator, which models
   /// lock time in its cost model instead) suppresses the spans; the
   /// thread executor sets it at worker start and clears it at exit.
-  static void set_thread_tracer(Tracer* t) noexcept {
-    if constexpr (kTracingEnabled) tls_worker_tracer_ = t;
-  }
+  static void set_thread_tracer(Tracer* t) noexcept { tls_worker_tracer_ = t; }
   [[nodiscard]] static Tracer* thread_tracer() noexcept {
-    if constexpr (kTracingEnabled) return tls_worker_tracer_;
-    return nullptr;
+    return tls_worker_tracer_;
   }
 
   // --- clock --------------------------------------------------------------

@@ -135,7 +135,6 @@ class ThreadExecutor {
     using Clock = std::chrono::steady_clock;
     const auto run_start = Clock::now();
 
-    if constexpr (!obs::kTracingEnabled) trace_ = nullptr;
     if (trace_ != nullptr) trace_->ensure_workers(threads_);
 
     // Set when a worker throws: its unit never commits, so its peers would

@@ -70,7 +70,7 @@ class SimExecutor {
   /// switched to its virtual clock, which also timestamps the engine's own
   /// trace hooks.  Deterministic: same engine + config ⇒ identical events.
   SimExecutor& with_trace(obs::TraceSession* session) noexcept {
-    trace_ = obs::kTracingEnabled ? session : nullptr;
+    trace_ = session;
     return *this;
   }
 

@@ -2,11 +2,16 @@
 // Minimal command-line flag parsing for the examples and harness binaries.
 // Flags look like:  --name value   or   --name=value   or   --flag (boolean).
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <initializer_list>
 #include <map>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ers {
@@ -28,6 +33,18 @@ class CliArgs {
       } else {
         flags_[arg] = "";  // boolean flag
       }
+    }
+  }
+
+  /// Exit with status 2 and "unknown option --X" on stderr when a flag
+  /// outside `known` was given, so a mistyped or removed flag fails loudly
+  /// instead of being ignored.
+  void reject_unknown(std::initializer_list<std::string_view> known) const {
+    for (const auto& flag : flags_) {
+      if (std::find(known.begin(), known.end(), flag.first) != known.end())
+        continue;
+      std::fprintf(stderr, "unknown option --%s\n", flag.first.c_str());
+      std::exit(2);
     }
   }
 

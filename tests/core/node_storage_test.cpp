@@ -57,7 +57,7 @@ TEST(NodeStorage, GaugesAccountColdRecords) {
   expect_gauges(engine.mem_stats());
 }
 
-/// Deep speculation (all toggles on by default) at 8 simulated processors:
+/// Deep speculation (the paper's three mechanisms) at 8 simulated processors:
 /// cancels and ancestor cutoffs kill subtrees mid-flight.  Dead subtrees
 /// keep their records and bookkeeping until the engine dies, so commits and
 /// combines still land in them; the engine reclaims their work, not their

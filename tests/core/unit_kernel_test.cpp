@@ -102,7 +102,6 @@ struct DiffCase {
   int threads = 1;
   int serial_depth = 0;
   core::UnitKernel kernel = core::UnitKernel::kAlphaBeta;
-  core::SpeculationConfig speculation;
   bool sort = false;
 
   [[nodiscard]] std::string describe() const {
@@ -111,12 +110,6 @@ struct DiffCase {
            " threads=" + std::to_string(threads) +
            " serial_depth=" + std::to_string(serial_depth) + " kernel=" +
            (kernel == core::UnitKernel::kAlphaBeta ? "alpha-beta" : "serial-er") +
-           " parallel_refutation=" +
-           std::to_string(speculation.parallel_refutation) +
-           " multiple_e_children=" +
-           std::to_string(speculation.multiple_e_children) +
-           " early_e_child_choice=" +
-           std::to_string(speculation.early_e_child_choice) +
            " sort=" + std::to_string(sort);
   }
 };
@@ -127,7 +120,6 @@ void run_diff_case(const G& g, const DiffCase& c) {
   cfg.search_depth = c.depth;
   cfg.serial_depth = c.serial_depth;
   cfg.unit_kernel = c.kernel;
-  cfg.speculation = c.speculation;
   cfg.ordering.sort_by_static_value = c.sort;
   const Value oracle = alpha_beta_search(g, c.depth, cfg.ordering).value;
   const auto r = parallel_er_threads(g, cfg, c.threads);
@@ -178,9 +170,6 @@ TEST(UnitKernelDifferential, SeededRandomConfigsMatchAlphaBeta) {
     c.serial_depth = static_cast<int>(rng.between(0, c.depth));
     c.kernel = rng.below(2) == 0 ? core::UnitKernel::kAlphaBeta
                                  : core::UnitKernel::kSerialEr;
-    c.speculation.parallel_refutation = rng.below(2) == 0;
-    c.speculation.multiple_e_children = rng.below(2) == 0;
-    c.speculation.early_e_child_choice = rng.below(2) == 0;
     c.sort = rng.below(2) == 0;
     SCOPED_TRACE(c.describe());
     if (kind <= 1) {

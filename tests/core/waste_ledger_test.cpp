@@ -36,7 +36,6 @@ void expect_reconciles(const core::EngineWasteStats& w,
 }
 
 TEST(WasteLedger, ReconcilesWithTraceOnO2SpeculationWorkload) {
-  if (!obs::kTracingEnabled) GTEST_SKIP() << "tracing compiled out";
   // O2 (Table 3), scaled down for test time, simulated at 8 processors with
   // every speculation mechanism on: bound-change and sibling-resolution
   // kills both occur, and the simulator stamps exact per-unit durations, so
@@ -60,7 +59,6 @@ TEST(WasteLedger, ReconcilesWithTraceOnO2SpeculationWorkload) {
 }
 
 TEST(WasteLedger, ReconcilesAcrossProcessorCounts) {
-  if (!obs::kTracingEnabled) GTEST_SKIP() << "tracing compiled out";
   const UniformRandomTree g(4, 5, 123, -100, 100);
   core::EngineConfig cfg;
   cfg.search_depth = 5;
@@ -75,7 +73,6 @@ TEST(WasteLedger, ReconcilesAcrossProcessorCounts) {
 }
 
 TEST(WasteLedger, ThreadRuntimeReconcilesUnitCountsAndTracedNs) {
-  if (!obs::kTracingEnabled) GTEST_SKIP() << "tracing compiled out";
   // Real threads, nondeterministic schedule: the equality must hold on
   // every run.  The traced thread executor stamps each result with the
   // same measured duration it mirrors onto the kUnitCommit event, so even
@@ -95,7 +92,6 @@ TEST(WasteLedger, ThreadRuntimeReconcilesUnitCountsAndTracedNs) {
 }
 
 TEST(WasteLedger, CallWasteSumsEveryAspiratedRun) {
-  if (!obs::kTracingEnabled) GTEST_SKIP() << "tracing compiled out";
   // A sorted search runs the engine twice here: static values on a random
   // tree predict nothing, so the aspiration guess fails and one re-search
   // follows.  The call's ledger must cover both runs.  One thread keeps

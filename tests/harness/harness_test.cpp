@@ -103,18 +103,6 @@ TEST(Experiment, Deterministic) {
   EXPECT_EQ(a.nodes_generated, b.nodes_generated);
 }
 
-TEST(Experiment, SpeculationOverrideRespected) {
-  const auto tree = tree_by_name("R3", /*scale=*/2);
-  const auto serial = run_serial_baselines(tree);
-  core::SpeculationConfig off;
-  off.parallel_refutation = false;
-  off.multiple_e_children = false;
-  off.early_e_child_choice = false;
-  const auto pt = run_parallel_point(tree, 16, serial, {}, &off);
-  EXPECT_EQ(pt.value, serial.value);
-  EXPECT_EQ(pt.engine.promotions_speculative, 0u);
-}
-
 TEST(Experiment, FigureProcessorCountsMatchPaperRange) {
   const auto counts = figure_processor_counts();
   EXPECT_EQ(counts.front(), 1);

@@ -28,7 +28,6 @@ TraceSession make_session() {
 }
 
 TEST(PerfettoWriter, EveryEventCarriesTheRequiredKeys) {
-  if (!kTracingEnabled) GTEST_SKIP() << "tracing compiled out";
   const TraceSession s = make_session();
   JsonValue root;
   ASSERT_TRUE(parse_json(perfetto_json(s), root));
@@ -57,7 +56,6 @@ TEST(PerfettoWriter, EveryEventCarriesTheRequiredKeys) {
 }
 
 TEST(PerfettoWriter, GoldenSpanLine) {
-  if (!kTracingEnabled) GTEST_SKIP() << "tracing compiled out";
   // A span [1000 ns, 2500 ns) is written as microseconds with the
   // nanosecond remainder in the fraction — the format Perfetto renders at
   // full precision.
@@ -78,7 +76,6 @@ TEST(PerfettoWriter, GoldenSpanLine) {
 }
 
 TEST(PerfettoWriter, ParseRoundTripsToTheMergedStream) {
-  if (!kTracingEnabled) GTEST_SKIP() << "tracing compiled out";
   const TraceSession s = make_session();
   std::vector<TraceEvent> back;
   ASSERT_TRUE(parse_perfetto(perfetto_json(s), back));
@@ -89,7 +86,6 @@ TEST(PerfettoWriter, ParseRoundTripsToTheMergedStream) {
 }
 
 TEST(PerfettoWriter, WriteAndLoadFileRoundTrip) {
-  if (!kTracingEnabled) GTEST_SKIP() << "tracing compiled out";
   const TraceSession s = make_session();
   const std::string path = "perfetto_test_trace.json";
   ASSERT_TRUE(write_perfetto(path, s, "unit-test"));

@@ -25,7 +25,6 @@ core::EngineConfig cfg(int depth, int serial) {
 }
 
 TEST(ThreadTrace, SpanTotalsAgreeWithRunReport) {
-  if (!obs::kTracingEnabled) GTEST_SKIP() << "tracing compiled out";
   // An unsorted tree runs the engine once.  On a sorted one the call runs
   // a serial estimate, an aspiration guess and, since static values on a
   // random tree predict nothing, a re-search: the report folds both engine
@@ -81,7 +80,6 @@ TEST(ThreadTrace, SpanTotalsAgreeWithRunReport) {
 }
 
 TEST(ThreadTrace, AnalyzerSeesTheWholeRun) {
-  if (!obs::kTracingEnabled) GTEST_SKIP() << "tracing compiled out";
   const UniformRandomTree g(4, 5, 23, -100, 100);
   obs::TraceSession session(0, std::size_t{1} << 20);
   const auto r = parallel_er_threads(g, cfg(5, 2), 4, 1, 1, &session);
@@ -115,7 +113,6 @@ TEST(ThreadTrace, UntracedRunReportsNoComputeTimeline) {
 }
 
 TEST(ThreadTrace, SessionReusableAcrossRuns) {
-  if (!obs::kTracingEnabled) GTEST_SKIP() << "tracing compiled out";
   // bench sweeps clear() the session between points; a cleared session must
   // record the next run from scratch.
   const UniformRandomTree g(3, 4, 2, -50, 50);

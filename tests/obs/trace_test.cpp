@@ -12,7 +12,6 @@ namespace ers::obs {
 namespace {
 
 TEST(Tracer, RecordsEventsWithWorkerStamp) {
-  if (!kTracingEnabled) GTEST_SKIP() << "tracing compiled out";
   Tracer t(3, 8);
   t.span(EventKind::kComputeSpan, 100, 250, /*node=*/7);
   t.instant(EventKind::kWakeup, 250, kNoTraceNode, /*arg=*/4);
@@ -29,7 +28,6 @@ TEST(Tracer, RecordsEventsWithWorkerStamp) {
 }
 
 TEST(Tracer, FullRingDropsAndCounts) {
-  if (!kTracingEnabled) GTEST_SKIP() << "tracing compiled out";
   Tracer t(0, 4);
   for (std::uint64_t k = 0; k < 10; ++k)
     t.instant(EventKind::kWakeup, k * 10);
@@ -45,14 +43,12 @@ TEST(Tracer, FullRingDropsAndCounts) {
 }
 
 TEST(Tracer, SpanClampsReversedInterval) {
-  if (!kTracingEnabled) GTEST_SKIP() << "tracing compiled out";
   Tracer t(0, 4);
   t.span(EventKind::kLockWaitSpan, 500, 400);  // to < from
   EXPECT_EQ(t.events()[0].dur, 0u);
 }
 
 TEST(TraceSession, MergesSortedByTimeThenWorker) {
-  if (!kTracingEnabled) GTEST_SKIP() << "tracing compiled out";
   TraceSession s(2, 16);
   s.worker(1).instant(EventKind::kWakeup, 50);
   s.worker(0).instant(EventKind::kWakeup, 50);
@@ -68,7 +64,6 @@ TEST(TraceSession, MergesSortedByTimeThenWorker) {
 }
 
 TEST(TraceSession, TotalDroppedSumsAllRings) {
-  if (!kTracingEnabled) GTEST_SKIP() << "tracing compiled out";
   TraceSession s(2, 2);
   for (int k = 0; k < 5; ++k) {
     s.worker(0).instant(EventKind::kWakeup, 1);
@@ -87,7 +82,6 @@ TEST(TraceSession, VirtualClockOverridesSteady) {
 }
 
 TEST(TraceSession, EnsureWorkersGrowsButNeverShrinks) {
-  if (!kTracingEnabled) GTEST_SKIP() << "tracing compiled out";
   TraceSession s(2, 16);
   s.ensure_workers(4);
   EXPECT_EQ(s.worker_count(), 4);
@@ -107,7 +101,6 @@ core::EngineConfig cfg(int depth, int serial) {
 }
 
 TEST(SimTraceDeterminism, SameSeedAndConfigSameEventStream) {
-  if (!kTracingEnabled) GTEST_SKIP() << "tracing compiled out";
   const UniformRandomTree g(4, 5, 99, -100, 100);
   TraceSession a, b;
   const auto ra = parallel_er_sim(g, cfg(5, 3), 4, {}, &a);
@@ -123,7 +116,6 @@ TEST(SimTraceDeterminism, SameSeedAndConfigSameEventStream) {
 }
 
 TEST(SimTraceDeterminism, DifferentProcessorCountDifferentSchedule) {
-  if (!kTracingEnabled) GTEST_SKIP() << "tracing compiled out";
   const UniformRandomTree g(4, 5, 99, -100, 100);
   TraceSession a, b;
   (void)parallel_er_sim(g, cfg(5, 3), 2, {}, &a);
@@ -132,7 +124,6 @@ TEST(SimTraceDeterminism, DifferentProcessorCountDifferentSchedule) {
 }
 
 TEST(SimTrace, SpanTotalsMatchSimMetrics) {
-  if (!kTracingEnabled) GTEST_SKIP() << "tracing compiled out";
   // The simulator's trace is exact (one span per charged interval), so the
   // per-kind totals must reproduce SimMetrics' aggregate counters whenever
   // nothing was dropped.

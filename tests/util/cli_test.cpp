@@ -52,5 +52,17 @@ TEST(CliArgs, DoubleParsing) {
   EXPECT_DOUBLE_EQ(a.get_double("scale", 0.0), 2.25);
 }
 
+TEST(CliArgs, KnownFlagsPassTheCheck) {
+  const auto a = make({"input.txt", "--scale", "3", "--verbose"});
+  a.reject_unknown({"scale", "verbose", "trees"});
+  EXPECT_EQ(a.get_int("scale", 0), 3);
+}
+
+TEST(CliArgs, UnknownFlagExitsTwo) {
+  const auto a = make({"--scale", "3", "--bogus", "1"});
+  EXPECT_EXIT(a.reject_unknown({"scale"}), ::testing::ExitedWithCode(2),
+              "unknown option --bogus");
+}
+
 }  // namespace
 }  // namespace ers

@@ -15,7 +15,8 @@
 #include "util/cli.hpp"
 
 int main(int argc, char** argv) {
-  ers::CliArgs args(argc, argv);
+  const ers::CliArgs args(argc, argv);
+  args.reject_unknown({"help"});
   if (args.positional().size() != 1 || args.has("help")) {
     std::fprintf(stderr, "usage: trace_report <trace.json>\n");
     return args.has("help") ? 0 : 2;
